@@ -71,6 +71,15 @@ pub enum CoreError {
         /// The number of inputs supplied.
         arity: usize,
     },
+    /// A cycle-accurate simulation would have to run past the largest
+    /// finite time: its latest event plus the cycles needed to settle
+    /// after it do not fit a [`Time`].
+    HorizonOverflow {
+        /// The latest finite input or constant event.
+        latest: u64,
+        /// Cycles the simulation runs after it.
+        settle: u64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -115,6 +124,10 @@ impl fmt::Display for CoreError {
             CoreError::InputOutOfRange { index, arity } => {
                 write!(f, "expression references input {index} but only {arity} inputs were supplied")
             }
+            CoreError::HorizonOverflow { latest, settle } => write!(
+                f,
+                "an event at {latest} plus {settle} settling cycles runs past the largest finite time"
+            ),
         }
     }
 }
@@ -173,6 +186,13 @@ mod tests {
             (
                 CoreError::InputOutOfRange { index: 5, arity: 3 },
                 "references input 5",
+            ),
+            (
+                CoreError::HorizonOverflow {
+                    latest: u64::MAX - 1,
+                    settle: 2,
+                },
+                "runs past the largest finite time",
             ),
         ];
         for (err, needle) in cases {
