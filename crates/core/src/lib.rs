@@ -32,6 +32,7 @@
 //! | [`parse`] | s-expression parsing for [`Expr`] |
 //! | [`table`] | normalized function tables (bounded s-t functions) |
 //! | [`volley`] | spike volleys and communication-efficiency accounting |
+//! | [`batch`] | row-major batches of same-width volleys, parsed and written in bulk |
 //!
 //! ## Quick start
 //!
@@ -59,6 +60,7 @@
 //! assert_eq!(volley.to_string(), "[0, 3, ∞, 1]");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+pub mod batch;
 pub mod compiled;
 pub mod error;
 pub mod expr;
@@ -72,6 +74,7 @@ pub mod table;
 pub mod time;
 pub mod volley;
 
+pub use batch::{ParseVolleysError, VolleyBatch};
 pub use compiled::CompiledTable;
 pub use error::CoreError;
 pub use expr::Expr;

@@ -4,11 +4,12 @@
 //! race-logic netlist) is compiled **once** into a flattened
 //! [`Plan`] — topological order precomputed, struct-of-arrays gate
 //! storage, fan-ins in one contiguous arena — and volleys are then
-//! evaluated **eight at a time**, each input line's spike times packed
-//! into the u8 lanes of a `u64` (see [`st_core::lane`]). The four
-//! primitives `min`/`max`/`lt`/`inc` become a handful of branch-free
-//! SWAR instructions per packet, and an ∞-dominance early-out skips any
-//! gate whose fan-in is all-silent across the whole packet.
+//! evaluated **eight at a time**: eight consecutive rows of a
+//! [`st_core::VolleyBatch`] are packed straight into the u8 lanes of one
+//! `u64` per input line (see [`st_core::lane`]). The four primitives
+//! `min`/`max`/`lt`/`inc` become a handful of branch-free SWAR
+//! instructions per packet, and an ∞-dominance early-out skips any gate
+//! whose fan-in is all-silent across the whole packet.
 //!
 //! Correctness rides on two facts, both pinned by exhaustive and
 //! differential tests:
@@ -17,32 +18,32 @@
 //!   equal the algebra's ops on encoded values;
 //! * a plan-level bound (computed by a one-pass dataflow analysis over
 //!   delays and constants, [`Plan::lane_input_limit`]) tells exactly
-//!   which batches can be lane-packed without saturating; everything
+//!   which batches can be lane-packed without saturating — checked in
+//!   O(1) against the batch's recorded largest finite time; everything
 //!   else takes the scalar path ([`Plan::eval`]), which is bit-identical
 //!   to [`st_net::Network::eval`] at full `u64` precision.
 //!
 //! ```
-//! use st_core::{Time, Volley};
+//! use st_core::{Time, VolleyBatch};
 //! use st_kernel::{Plan, Scratch};
 //! use st_net::sorting::sorting_network;
 //!
 //! let plan = Plan::from_network(&sorting_network(4));
 //! let t = Time::finite;
-//! let volley = Volley::new(vec![t(3), Time::INFINITY, t(0), t(2)]);
+//! let volley = [t(3), Time::INFINITY, t(0), t(2)];
 //!
 //! // Scalar path: one volley at full u64 precision.
-//! assert_eq!(
-//!     plan.eval(volley.times())?,
-//!     vec![t(0), t(2), t(3), Time::INFINITY]
-//! );
+//! assert_eq!(plan.eval(&volley)?, vec![t(0), t(2), t(3), Time::INFINITY]);
 //!
-//! // Lane path: up to eight volleys per packet.
-//! let batch = vec![volley.clone(), volley];
-//! let mut out = vec![Volley::new(Vec::new()); 2];
-//! let mut scratch = Scratch::default();
-//! assert!(plan.lane_capable(&batch));
-//! plan.eval_packet(&mut scratch, &batch, &mut out);
-//! assert_eq!(out[0].times(), &[t(0), t(2), t(3), Time::INFINITY]);
+//! // Lane path: up to eight rows of a batch per packet, written row-major
+//! // into the output rows.
+//! let mut batch = VolleyBatch::new(4);
+//! batch.push_row(&volley)?;
+//! batch.push_row(&volley)?;
+//! let mut out = vec![Time::INFINITY; 2 * plan.output_width()];
+//! assert!(plan.lane_capable_batch(&batch));
+//! plan.eval_packet_batch(&mut Scratch::default(), &batch, 0..2, &mut out);
+//! assert_eq!(&out[4..], &[t(0), t(2), t(3), Time::INFINITY]);
 //! # Ok::<(), st_core::CoreError>(())
 //! ```
 

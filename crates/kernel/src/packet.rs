@@ -1,31 +1,40 @@
 //! The lane-packed packet executor: eight volleys per pass.
 //!
-//! A *packet* is up to [`lane::LANES`] volleys evaluated together: each
-//! input line's eight spike times are packed into one `u64` word, every
-//! gate computes its SWAR op on whole words in the plan's flattened
-//! topological order, and the output words are unpacked back into
-//! per-volley output volleys. The per-gate inner loop is branch-free
-//! except for the **∞-dominance early-out**: a gate whose entire fan-in
-//! is all-silent (`∞` in every lane of every source) is skipped — its
-//! output is all-silent by the algebra's absorption laws — which pays
-//! off on sparse volleys where silence dominates whole subgraphs.
+//! A *packet* is up to [`lane::LANES`] consecutive rows of a
+//! [`VolleyBatch`] evaluated together: the rows are packed straight into
+//! lane words — line `l` of row `j` becomes lane `j` of input word `l` —
+//! every gate computes its SWAR op on whole words in the plan's
+//! flattened topological order, and each output word is unpacked lane by
+//! lane into the matching output rows. The per-gate inner loop is
+//! branch-free except for the **∞-dominance early-out**: a gate whose
+//! entire fan-in is all-silent (`∞` in every lane of every source) is
+//! skipped — its output is all-silent by the algebra's absorption laws —
+//! which pays off on sparse volleys where silence dominates whole
+//! subgraphs.
+//!
+//! The width and lane-bound contract is checked once per packet, in O(1),
+//! from the batch's width and recorded maximum; the pack, gate and
+//! unpack loops carry no checks.
 
-use st_core::{lane, Volley};
+use std::ops::Range;
+
+use st_core::{lane, Time, Volley, VolleyBatch};
 
 use crate::plan::{Op, Plan};
 
 /// Reusable per-worker buffers for packet evaluation, so the hot loop
-/// never allocates: one word per gate, one word per input line, one
-/// word per output line.
+/// never allocates: one word per gate and one per input line, plus the
+/// staging rows of the [`Plan::eval_packet`] adapter.
 #[derive(Debug, Default, Clone)]
 pub struct Scratch {
     values: Vec<u64>,
     inputs: Vec<u64>,
-    outputs: Vec<u64>,
+    staged_in: VolleyBatch,
+    staged_out: Vec<Time>,
 }
 
-/// What one [`Plan::eval_packet`] call did — deterministic counts, the
-/// raw material for the `kernel.*` metrics.
+/// What one [`Plan::eval_packet_batch`] call did — deterministic counts,
+/// the raw material for the `kernel.*` metrics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PacketStats {
     /// Gates evaluated with SWAR ops.
@@ -43,45 +52,51 @@ impl PacketStats {
 }
 
 impl Plan {
-    /// Evaluates one packet of up to eight volleys through the lane
-    /// path, writing one output [`Volley`] per input volley into `out`.
-    ///
-    /// Callers must pre-check the batch with [`Plan::lane_capable`] and
-    /// volley widths with [`Plan::input_count`]; within that contract
-    /// the results are bit-identical to [`Plan::eval`] on each volley.
+    /// Evaluates rows `rows` of `input` — one packet of up to eight — on
+    /// the lane path, writing their outputs row-major into `out`
+    /// ([`Plan::output_width`] times per row). Bit-identical to
+    /// [`Plan::eval`] on each row.
     ///
     /// # Panics
     ///
-    /// Panics if `volleys` is empty or longer than [`lane::LANES`], if
-    /// `out` is shorter than `volleys`, or if a volley violates the
-    /// width/bound contract above.
-    pub fn eval_packet(
+    /// Panics if `rows` is empty, longer than [`lane::LANES`] or outside
+    /// the batch, if `out` is shorter than the packet's outputs, or if
+    /// the batch breaks the plan's contract: its width must be
+    /// [`Plan::input_count`] and it must be
+    /// [`Plan::lane_capable_batch`]. All four checks are O(1).
+    pub fn eval_packet_batch(
         &self,
         scratch: &mut Scratch,
-        volleys: &[Volley],
-        out: &mut [Volley],
+        input: &VolleyBatch,
+        rows: Range<usize>,
+        out: &mut [Time],
     ) -> PacketStats {
-        let members = volleys.len();
+        let members = rows.len();
+        let (width, out_width) = (self.input_count(), self.output_width());
         assert!(
             (1..=lane::LANES).contains(&members),
             "1..=8 volleys per packet"
         );
-        assert!(out.len() >= members, "output slice too short");
+        assert!(out.len() >= members * out_width, "output slice too short");
+        assert_eq!(input.width(), width, "batch width must be the input count");
+        assert!(
+            self.lane_capable_batch(input),
+            "batch exceeds the plan's lane bound"
+        );
 
-        // Transpose the volleys into one packed word per input line.
+        // Pack: row j, line l → lane j of word l. Lanes past the packet
+        // stay ∞. Within the lane bound, a time's low byte is its lane
+        // encoding (∞'s all-ones bits included).
+        let pad = if members == lane::LANES {
+            0
+        } else {
+            lane::ALL_INF << (8 * members)
+        };
         scratch.inputs.clear();
-        scratch.inputs.resize(self.input_count(), lane::ALL_INF);
-        for (j, volley) in volleys.iter().enumerate() {
-            let times = volley.times();
-            assert!(
-                times.len() == self.input_count(),
-                "volley width pre-checked"
-            );
-            for (line, &t) in times.iter().enumerate() {
-                let byte = lane::encode(t).expect("lane bound pre-checked");
-                let shift = 8 * j;
-                scratch.inputs[line] =
-                    (scratch.inputs[line] & !(0xFF << shift)) | (u64::from(byte) << shift);
+        scratch.inputs.resize(width, pad);
+        for (j, row) in input.row_range(rows).chunks_exact(width.max(1)).enumerate() {
+            for (word, t) in scratch.inputs.iter_mut().zip(row) {
+                *word |= u64::from(t.value().map_or(lane::INF, |v| v as u8)) << (8 * j);
             }
         }
 
@@ -135,19 +150,50 @@ impl Plan {
             scratch.values.push(word);
         }
 
-        // Untranspose: one output word per line → one volley per lane.
-        scratch.outputs.clear();
-        scratch
-            .outputs
-            .extend(self.outputs().iter().map(|&o| scratch.values[o as usize]));
-        for (j, slot) in out.iter_mut().enumerate().take(members) {
-            let times = scratch
-                .outputs
-                .iter()
-                .map(|&word| lane::decode(lane::get(word, j)))
-                .collect();
-            *slot = Volley::new(times);
+        // Unpack: lane j of output word o → line o of output row j.
+        for (o, &gate) in self.outputs().iter().enumerate() {
+            let word = scratch.values[gate as usize];
+            for j in 0..members {
+                out[j * out_width + o] = lane::decode((word >> (8 * j)) as u8);
+            }
         }
+        stats
+    }
+
+    /// [`Plan::eval_packet_batch`] for volleys held one `Vec` apiece:
+    /// stages `volleys` as a batch, evaluates it as one packet, and writes
+    /// one output [`Volley`] per input volley into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `volleys` is empty or longer than [`lane::LANES`], if
+    /// `out` is shorter than `volleys`, or if a volley is not
+    /// [`Plan::input_count`] wide or breaks [`Plan::lane_capable`].
+    pub fn eval_packet(
+        &self,
+        scratch: &mut Scratch,
+        volleys: &[Volley],
+        out: &mut [Volley],
+    ) -> PacketStats {
+        assert!(out.len() >= volleys.len(), "output slice too short");
+        let mut staged = std::mem::take(&mut scratch.staged_in);
+        staged.reset(self.input_count(), 0);
+        for volley in volleys {
+            assert!(
+                staged.push_row(volley.times()).is_ok(),
+                "volley width must be the input count"
+            );
+        }
+        let mut rows = std::mem::take(&mut scratch.staged_out);
+        rows.clear();
+        rows.resize(volleys.len() * self.output_width(), Time::INFINITY);
+        let stats = self.eval_packet_batch(scratch, &staged, 0..volleys.len(), &mut rows);
+        let out_width = self.output_width();
+        for (j, slot) in out.iter_mut().enumerate().take(volleys.len()) {
+            *slot = Volley::new(rows[j * out_width..(j + 1) * out_width].to_vec());
+        }
+        scratch.staged_in = staged;
+        scratch.staged_out = rows;
         stats
     }
 }
@@ -221,5 +267,32 @@ mod tests {
         assert_eq!(out[1].times(), &[t(0), t(1), t(2), t(3), t(4), t(5)]);
         small.eval_packet(&mut scratch, &v_small, &mut out);
         assert_eq!(out[2].times(), &[t(0), t(2)]);
+    }
+
+    #[test]
+    fn batch_packets_read_their_rows_straight_from_the_batch() {
+        let plan = Plan::from_network(&sorting_network(4));
+        let batch = VolleyBatch::from_fn(4, 11, |r, l| match (r * 4 + l) % 7 {
+            0 => Time::INFINITY,
+            k => t((r as u64 * 37 + k as u64 * 11) % 255),
+        });
+        assert!(plan.lane_capable_batch(&batch));
+        let mut scratch = Scratch::default();
+        let mut out = vec![Time::ZERO; 3 * 4];
+        plan.eval_packet_batch(&mut scratch, &batch, 8..11, &mut out);
+        for (j, row) in (8..11).enumerate() {
+            let scalar = plan.eval(batch.row(row)).unwrap();
+            assert_eq!(&out[j * 4..(j + 1) * 4], &scalar[..], "row {row}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane bound")]
+    fn batch_packets_refuse_a_batch_past_the_lane_bound() {
+        let plan = Plan::from_network(&sorting_network(2));
+        let mut batch = VolleyBatch::new(2);
+        batch.push_row(&[t(255), t(0)]).unwrap();
+        let mut out = vec![Time::ZERO; 2];
+        plan.eval_packet_batch(&mut Scratch::default(), &batch, 0..1, &mut out);
     }
 }

@@ -10,7 +10,7 @@
 //! primitives-only realization (Fig. 12 neurons + the Fig. 15 WTA network)
 //! is available via [`Column::to_network`] and cross-checked in tests.
 
-use st_core::Volley;
+use st_core::{Time, Volley};
 use st_metrics::{MetricSink, NullMetrics};
 use st_net::wta::{k_wta_into, wta_into};
 use st_net::{Network, NetworkBuilder};
@@ -188,8 +188,23 @@ impl Column {
         probe: &mut P,
         sink: &mut M,
     ) -> Volley {
+        self.eval_times_instrumented(inputs.times(), probe, sink)
+    }
+
+    /// [`Column::eval_instrumented`] on one row of input times, as a
+    /// batch holds them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from [`Column::input_width`].
+    pub fn eval_times_instrumented<P: Probe, M: MetricSink>(
+        &self,
+        inputs: &[Time],
+        probe: &mut P,
+        sink: &mut M,
+    ) -> Volley {
         assert_eq!(
-            inputs.width(),
+            inputs.len(),
             self.input_width(),
             "volley width must match the column's input width"
         );
@@ -198,7 +213,7 @@ impl Column {
             .neurons
             .iter()
             .enumerate()
-            .map(|(i, n)| n.eval_instrumented(inputs.times(), i, probe, sink))
+            .map(|(i, n)| n.eval_instrumented(inputs, i, probe, sink))
             .collect();
         if metered {
             sink.incr("tnn.volleys", 1);

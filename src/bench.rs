@@ -14,14 +14,16 @@
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use st_core::{FnSpaceTime, FunctionTable, Time, Volley};
+use st_core::{FnSpaceTime, FunctionTable, Time, VolleyBatch};
 use st_metrics::{
     BenchReport, HistSummary, MachineInfo, MetricsRegistry, Scenario, WallStats, SCHEMA,
 };
 use st_net::sorting::sorting_network;
 use st_net::{Network, NetworkBuilder};
+use st_obs::NullProbe;
 use st_opt::{optimize_network, OptOptions, OptOutcome};
 use st_tnn::train::{fresh_column, TrainConfig};
+use st_trace::{NullTracer, SpanId};
 
 use crate::batch::{BatchEvaluator, CompiledArtifact};
 
@@ -241,7 +243,7 @@ pub fn build_artifact(engine: &str, size: usize) -> Result<CompiledArtifact, Str
 /// run of a scenario, so timing differences are the machine's, not the
 /// input's.
 #[must_use]
-pub fn generate_volleys(width: usize, count: usize, max_time: u32, seed: u64) -> Vec<Volley> {
+pub fn generate_volleys(width: usize, count: usize, max_time: u32, seed: u64) -> VolleyBatch {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -250,9 +252,7 @@ pub fn generate_volleys(width: usize, count: usize, max_time: u32, seed: u64) ->
         state
     };
     let span = u64::from(max_time) + 1;
-    (0..count)
-        .map(|_| Volley::new((0..width).map(|_| Time::finite(next() % span)).collect()))
-        .collect()
+    VolleyBatch::from_fn(width, count, |_, _| Time::finite(next() % span))
 }
 
 fn effective_iterations(spec: &ScenarioSpec) -> u64 {
@@ -281,9 +281,10 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<Scenario, String> {
         0x5EED_0001 ^ (spec.size as u64) << 8,
     );
     let evaluator = BatchEvaluator::with_threads(spec.threads);
+    let mut outputs = VolleyBatch::default();
     for _ in 0..spec.warmup {
-        evaluator
-            .eval(&artifact, &volleys)
+        outputs = evaluator
+            .eval_batch(&artifact, &volleys)
             .map_err(|e| format!("{}: warmup failed: {e}", spec.name()))?;
     }
     let iterations = effective_iterations(spec);
@@ -299,7 +300,15 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<Scenario, String> {
     for _ in 0..iterations {
         let start = Instant::now();
         evaluator
-            .eval_metered(&artifact, &volleys, &mut registry)
+            .eval_instrumented(
+                &artifact,
+                &volleys,
+                &mut outputs,
+                &mut NullProbe,
+                &mut registry,
+                &mut NullTracer,
+                SpanId::NONE,
+            )
             .map_err(|e| format!("{}: evaluation failed: {e}", spec.name()))?;
         samples.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
@@ -414,10 +423,9 @@ mod tests {
         let b = generate_volleys(4, 16, 7, 42);
         assert_eq!(a, b);
         assert_ne!(a, generate_volleys(4, 16, 7, 43));
-        for v in &a {
-            for &t in v.times() {
-                assert!(t.is_finite() && t <= Time::finite(7));
-            }
+        assert_eq!((a.width(), a.len()), (4, 16));
+        for &t in a.times() {
+            assert!(t.is_finite() && t <= Time::finite(7));
         }
     }
 
@@ -468,11 +476,8 @@ mod tests {
             outcome.after
         );
         let optimized = optimized_bench_network(4).expect("network back");
-        for volley in generate_volleys(4, 16, 7, 99) {
-            assert_eq!(
-                raw.eval(volley.times()).unwrap(),
-                optimized.eval(volley.times()).unwrap()
-            );
+        for volley in generate_volleys(4, 16, 7, 99).rows() {
+            assert_eq!(raw.eval(volley).unwrap(), optimized.eval(volley).unwrap());
         }
         // The opt scenarios surface the pipeline's counters in their
         // bench rows.

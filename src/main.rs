@@ -8,7 +8,7 @@
 
 use std::process::ExitCode;
 
-use spacetime::core::{FunctionTable, Time, Volley};
+use spacetime::core::{FunctionTable, Time, Volley, VolleyBatch};
 use spacetime::grl::{try_compile_network, try_to_vcd, GrlSim};
 use spacetime::net::synth::{synthesize, SynthesisOptions};
 use spacetime::net::{analysis, gate_counts, optimize, EventSim, Network};
@@ -604,23 +604,25 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_volleys(text: &str, path: &str) -> Result<Vec<Volley>, String> {
-    let mut volleys = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let times: Result<Vec<Time>, String> = line
-            .split_whitespace()
-            .map(|tok| {
-                tok.parse::<Time>()
-                    .map_err(|e| format!("{path}:{}: {e}", lineno + 1))
-            })
-            .collect();
-        volleys.push(Volley::new(times?));
+/// Reads a volley file into a batch of `width`-wide volleys — the input
+/// width of the engine that will evaluate it.
+fn read_volleys(path: &str, width: usize) -> Result<VolleyBatch, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    VolleyBatch::parse(&text, path, width).map_err(|e| e.to_string())
+}
+
+/// Writes `bytes` to stdout in one locked write. A closed pipe (the
+/// reader is gone, as with `| head`) is not an error: it returns
+/// `Ok(false)` so the command can end quietly. Any other failure is
+/// `cannot write output: …`.
+fn write_stdout(bytes: &[u8]) -> Result<bool, String> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(bytes).and_then(|()| stdout.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("cannot write output: {e}")),
     }
-    Ok(volleys)
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
@@ -671,9 +673,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         }
     };
 
-    let text = std::fs::read_to_string(&volleys_path)
-        .map_err(|e| format!("cannot read {volleys_path}: {e}"))?;
-    let volleys = parse_volleys(&text, &volleys_path)?;
+    let volleys = read_volleys(&volleys_path, artifact.input_width())?;
 
     let evaluator = match threads {
         Some(n) => BatchEvaluator::with_threads(n),
@@ -681,16 +681,16 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     };
     let started = std::time::Instant::now();
     let outputs = evaluator
-        .eval(&artifact, &volleys)
+        .eval_batch(&artifact, &volleys)
         .map_err(|e| format!("{volleys_path}: {e}"))?;
     let elapsed = started.elapsed();
+    drop(volleys);
 
-    let mut stdout = String::new();
-    for out in &outputs {
-        stdout.push_str(&out.to_string());
-        stdout.push('\n');
+    let mut stdout = Vec::new();
+    outputs.write_text(&mut stdout);
+    if !write_stdout(&stdout)? {
+        return Ok(());
     }
-    print!("{stdout}");
     let rate = if elapsed.as_secs_f64() > 0.0 {
         outputs.len() as f64 / elapsed.as_secs_f64()
     } else {
@@ -992,19 +992,19 @@ enum TraceForm {
 /// exhaustive over window 3 for narrow inputs, otherwise an all-zeros
 /// volley plus one single-spike volley per line — deterministic either
 /// way, so repeated traces are comparable.
-fn default_sweep(width: usize) -> Vec<Volley> {
+fn default_sweep(width: usize) -> VolleyBatch {
     if width <= 3 {
-        spacetime::core::enumerate_inputs(width, 3)
-            .map(Volley::new)
-            .collect()
+        let rows: Vec<Vec<Time>> = spacetime::core::enumerate_inputs(width, 3).collect();
+        VolleyBatch::from_fn(width, rows.len(), |row, line| rows[row][line])
     } else {
-        let mut volleys = vec![Volley::new(vec![Time::ZERO; width])];
-        for i in 0..width {
-            let mut times = vec![Time::INFINITY; width];
-            times[i] = Time::ZERO;
-            volleys.push(Volley::new(times));
-        }
-        volleys
+        // Row 0 all zeros, then row `k` a single spike on line `k - 1`.
+        VolleyBatch::from_fn(width, width + 1, |row, line| {
+            if row == 0 || line + 1 == row {
+                Time::ZERO
+            } else {
+                Time::INFINITY
+            }
+        })
     }
 }
 
@@ -1012,31 +1012,35 @@ fn default_sweep(width: usize) -> Vec<Volley> {
 /// each volley and collecting the probed model-time events.
 fn record_probed(
     form: &TraceForm,
-    volleys: &[Volley],
+    volleys: &VolleyBatch,
     recorder: &mut spacetime::obs::Recorder,
 ) -> Result<(), String> {
-    for (index, volley) in volleys.iter().enumerate() {
+    for (index, volley) in volleys.rows().enumerate() {
         recorder.begin_volley(index);
         match form {
             TraceForm::Net(compiled) => {
                 compiled
-                    .run_probed(volley.times(), recorder)
+                    .run_probed(volley, recorder)
                     .map_err(|e| format!("volley {index}: {e}"))?;
             }
             TraceForm::Grl(netlist) => {
                 GrlSim::new()
-                    .run_probed(netlist, volley.times(), recorder)
+                    .run_probed(netlist, volley, recorder)
                     .map_err(|e| format!("volley {index}: {e}"))?;
             }
             TraceForm::Column(column) => {
-                if volley.width() != column.input_width() {
+                if volley.len() != column.input_width() {
                     return Err(format!(
                         "volley {index}: column expects width {}, got {}",
                         column.input_width(),
-                        volley.width()
+                        volley.len()
                     ));
                 }
-                column.eval_probed(volley, recorder);
+                column.eval_times_instrumented(
+                    volley,
+                    recorder,
+                    &mut spacetime::metrics::NullMetrics,
+                );
             }
         }
     }
@@ -1148,11 +1152,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     };
 
     let volleys = match &volleys_path {
-        Some(vp) => {
-            let vtext =
-                std::fs::read_to_string(vp).map_err(|e| format!("cannot read {vp}: {e}"))?;
-            parse_volleys(&vtext, vp)?
-        }
+        Some(vp) => read_volleys(vp, artifact.input_width())?,
         None => default_sweep(artifact.input_width()),
     };
 
@@ -1164,7 +1164,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
         let mut registry = MetricsRegistry::new();
         evaluator
-            .eval_metered(&artifact, &volleys, &mut registry)
+            .eval_instrumented(
+                &artifact,
+                &volleys,
+                &mut VolleyBatch::default(),
+                &mut spacetime::obs::NullProbe,
+                &mut registry,
+                &mut spacetime::trace::NullTracer,
+                spacetime::trace::SpanId::NONE,
+            )
             .map_err(|e| format!("{path}: {e}"))?;
         let families = registry.counters().count() + registry.histograms().count();
         let rendered = MetricsSnapshot::from_registry(&registry).to_prom_text();
@@ -1191,7 +1199,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // per-chunk, and stage timings to the same stream.
     let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
     evaluator
-        .eval_probed(&artifact, &volleys, &mut recorder)
+        .eval_instrumented(
+            &artifact,
+            &volleys,
+            &mut VolleyBatch::default(),
+            &mut recorder,
+            &mut spacetime::metrics::NullMetrics,
+            &mut spacetime::trace::NullTracer,
+            spacetime::trace::SpanId::NONE,
+        )
         .map_err(|e| format!("{path}: {e}"))?;
 
     let events = recorder.events();
@@ -1264,7 +1280,7 @@ fn inspect_load(path: &str) -> Result<(String, &'static str, Network), String> {
 /// into an indexed spike database.
 fn record_net_run(
     network: &Network,
-    volleys: &[Volley],
+    volleys: &VolleyBatch,
 ) -> Result<spacetime::insight::SpikeDb, String> {
     let mut recorder = spacetime::obs::Recorder::new();
     let form = TraceForm::Net(EventSim::new().compile(network));
@@ -1391,11 +1407,7 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
     };
 
     let volleys = match &volleys_path {
-        Some(vp) => {
-            let vtext =
-                std::fs::read_to_string(vp).map_err(|e| format!("cannot read {vp}: {e}"))?;
-            parse_volleys(&vtext, vp)?
-        }
+        Some(vp) => read_volleys(vp, network.input_count())?,
         None => default_sweep(network.input_count()),
     };
 
@@ -1441,10 +1453,10 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
             let run = |network: &Network, label: &str| -> Result<Vec<Vec<Time>>, String> {
                 let artifact = CompiledArtifact::from_network(network);
                 Ok(evaluator
-                    .eval(&artifact, &volleys)
+                    .eval_batch(&artifact, &volleys)
                     .map_err(|e| format!("{label}: {e}"))?
-                    .into_iter()
-                    .map(|v| v.times().to_vec())
+                    .rows()
+                    .map(<[Time]>::to_vec)
                     .collect())
             };
             let outs_a = run(&network, &path)?;
@@ -1743,11 +1755,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     };
 
     let volleys = match &volleys_path {
-        Some(vp) => {
-            let vtext =
-                std::fs::read_to_string(vp).map_err(|e| format!("cannot read {vp}: {e}"))?;
-            parse_volleys(&vtext, vp)?
-        }
+        Some(vp) => read_volleys(vp, artifact.input_width())?,
         None => default_sweep(artifact.input_width()),
     };
 
@@ -1757,7 +1765,15 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
     let eval_span = tracer.begin("batch.eval", SpanId::NONE);
     evaluator
-        .eval_traced(&artifact, &volleys, &mut tracer, eval_span)
+        .eval_instrumented(
+            &artifact,
+            &volleys,
+            &mut VolleyBatch::default(),
+            &mut spacetime::obs::NullProbe,
+            &mut spacetime::metrics::NullMetrics,
+            &mut tracer,
+            eval_span,
+        )
         .map_err(|e| format!("{path}: {e}"))?;
     tracer.end(eval_span);
 
@@ -1979,19 +1995,24 @@ mod tests {
 
     #[test]
     fn parse_volleys_handles_comments_and_inf() {
-        let text = "# header\n0 1 2\n\n3 inf ∞  # trailing comment\n";
-        let volleys = parse_volleys(text, "test").unwrap();
+        let file =
+            std::env::temp_dir().join(format!("spacetime-main-{}.volleys", std::process::id()));
+        std::fs::write(&file, "# header\n0 1 2\n\n3 inf ∞  # trailing comment\n").unwrap();
+        let path = file.to_str().unwrap().to_owned();
+        let volleys = read_volleys(&path, 3).unwrap();
         assert_eq!(volleys.len(), 2);
         assert_eq!(
-            volleys[0].times(),
+            volleys.row(0),
             &[Time::ZERO, Time::finite(1), Time::finite(2)]
         );
         assert_eq!(
-            volleys[1].times(),
+            volleys.row(1),
             &[Time::finite(3), Time::INFINITY, Time::INFINITY]
         );
-        let err = parse_volleys("0 oops\n", "vf").unwrap_err();
-        assert!(err.starts_with("vf:1:"), "{err}");
+        std::fs::write(&file, "0 oops\n").unwrap();
+        let err = read_volleys(&path, 2).unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        assert!(err.starts_with(&format!("{path}:1:")), "{err}");
     }
 
     #[test]
