@@ -40,6 +40,9 @@ pub mod mutate;
 pub use st_lint::interval;
 pub use st_lint::{Code, Diagnostic, Interval, Location, Report, Severity};
 
+use std::fmt;
+use std::str::FromStr;
+
 use st_core::FunctionTable;
 use st_grl::try_compile_network;
 use st_net::synth::{synthesize, SynthesisOptions};
@@ -49,6 +52,70 @@ use st_tnn::Column;
 use cert::{certify_graph, Certificate};
 use equiv::{check_equiv, Counterexample, EquivProof, EquivResult};
 use eval::{ColumnEvaluator, Evaluator, GrlEvaluator, NetEvaluator, TableEvaluator};
+
+/// The three on-disk artifact text formats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A normalized function table (`*.table`).
+    Table,
+    /// A gate network in the `st-net` text format (`*.net`).
+    Net,
+    /// A TNN column (`*.tnn`).
+    Column,
+}
+
+impl Kind {
+    /// Guesses the kind of an artifact text.
+    ///
+    /// The three formats are disjoint on their first meaningful line:
+    /// table rows contain `->`, column files open with one of the column
+    /// keywords, and everything else is an `st-net` netlist.
+    #[must_use]
+    pub fn detect(text: &str) -> Kind {
+        for line in text.lines() {
+            let line = line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            if line.contains("->") {
+                return Kind::Table;
+            }
+            let first = line.split_whitespace().next().unwrap_or("");
+            if matches!(first, "inhibition" | "response" | "neuron") {
+                return Kind::Column;
+            }
+            return Kind::Net;
+        }
+        Kind::Net
+    }
+
+    /// The lowercase kind tag ("table", "net", "column").
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Table => "table",
+            Kind::Net => "net",
+            Kind::Column => "column",
+        }
+    }
+}
+
+impl fmt::Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for Kind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Kind, String> {
+        [Kind::Table, Kind::Net, Kind::Column]
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| format!("unknown kind {s:?}; expected table|net|column"))
+    }
+}
 
 /// A parsed artifact in one of the three on-disk text formats.
 #[derive(Debug, Clone)]
@@ -62,13 +129,54 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// The lowercase kind tag ("table", "net", "column").
+    /// Parses `text` in the `kind` format.
+    ///
+    /// # Errors
+    ///
+    /// The format's parse error, rendered.
+    pub fn parse(text: &str, kind: Kind) -> Result<Artifact, String> {
+        match kind {
+            Kind::Table => FunctionTable::parse(text)
+                .map(Artifact::Table)
+                .map_err(|e| e.to_string()),
+            Kind::Net => st_net::parse_network(text)
+                .map(Artifact::Net)
+                .map_err(|e| e.to_string()),
+            Kind::Column => st_tnn::parse_column(text)
+                .map(Artifact::Column)
+                .map_err(|e| e.to_string()),
+        }
+    }
+
+    /// Renders the artifact in its text format, the inverse of
+    /// [`Artifact::parse`].
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub fn to_text(&self) -> String {
         match self {
-            Artifact::Table(_) => "table",
-            Artifact::Net(_) => "net",
-            Artifact::Column(_) => "column",
+            Artifact::Table(t) => t.to_text(),
+            Artifact::Net(n) => st_net::network_to_text(n),
+            Artifact::Column(c) => st_tnn::column_to_text(c),
+        }
+    }
+
+    /// The artifact's format.
+    #[must_use]
+    pub fn kind(&self) -> Kind {
+        match self {
+            Artifact::Table(_) => Kind::Table,
+            Artifact::Net(_) => Kind::Net,
+            Artifact::Column(_) => Kind::Column,
+        }
+    }
+
+    /// The primitive-gate lowering: a table's Theorem 1 synthesis, a
+    /// column's Fig. 12/15 compilation, or the network itself.
+    #[must_use]
+    pub fn to_network(&self) -> Network {
+        match self {
+            Artifact::Table(t) => synthesize(t, SynthesisOptions::default()),
+            Artifact::Net(n) => n.clone(),
+            Artifact::Column(c) => c.to_network(),
         }
     }
 }
@@ -223,19 +331,13 @@ pub fn verify_artifact(
     }
     let window = options.window.unwrap_or(required.max(DEFAULT_WINDOW));
 
-    // The primitive-gate lowering carries the certificate; for a table
-    // that is its Theorem 1 synthesis, for a column its Fig. 12/15
-    // compilation.
-    let lowered: Network = match artifact {
-        Artifact::Table(t) => synthesize(t, SynthesisOptions::default()),
-        Artifact::Net(n) => n.clone(),
-        Artifact::Column(c) => c.to_network(),
-    };
+    // The primitive-gate lowering carries the certificate.
+    let lowered = artifact.to_network();
     let graph = st_net::lint::to_lint_graph(&lowered);
-    let certificate = certify_graph(&graph, window, artifact.kind());
+    let certificate = certify_graph(&graph, window, artifact.kind().name());
 
     let mut outcome = VerifyOutcome {
-        kind: artifact.kind().to_owned(),
+        kind: artifact.kind().to_string(),
         window,
         certificate,
         proofs: Vec::new(),
