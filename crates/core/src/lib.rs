@@ -33,6 +33,7 @@
 //! | [`table`] | normalized function tables (bounded s-t functions) |
 //! | [`volley`] | spike volleys and communication-efficiency accounting |
 //! | [`batch`] | row-major batches of same-width volleys, parsed and written in bulk |
+//! | [`json`] | the one JSON reader/writer; `∞` is written as `null` |
 //!
 //! ## Quick start
 //!
@@ -65,6 +66,7 @@ pub mod compiled;
 pub mod error;
 pub mod expr;
 pub mod function;
+pub mod json;
 pub mod lane;
 pub mod lattice;
 pub mod ops;

@@ -27,6 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use st_core::json;
 use st_core::Time;
 use st_lint::{LintGraph, LintOp};
 
@@ -190,7 +191,7 @@ impl Provenance {
             "\"volley\":{},\"gate\":{},\"at\":{},\"minimized\":{},",
             self.volley,
             self.gate,
-            json_time(self.at),
+            json::time(self.at),
             self.minimized
         );
         out.push_str("\"nodes\":[");
@@ -201,7 +202,7 @@ impl Provenance {
             let _ = write!(
                 out,
                 "{{\"gate\":{id},\"op\":\"{op}\",\"at\":{}}}",
-                json_time(at)
+                json::time(at)
             );
         }
         out.push_str("],\"edges\":[");
@@ -220,7 +221,7 @@ impl Provenance {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_time(*t));
+            let _ = write!(out, "{}", json::time(*t));
         }
         out.push_str("]}");
         out
@@ -278,11 +279,6 @@ impl Provenance {
 fn fmt_time(t: Time) -> String {
     t.value()
         .map_or_else(|| "inf".to_owned(), |v| v.to_string())
-}
-
-fn json_time(t: Time) -> String {
-    t.value()
-        .map_or_else(|| "null".to_owned(), |v| v.to_string())
 }
 
 /// The direct causes of `node`'s recorded outcome, as

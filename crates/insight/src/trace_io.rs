@@ -1,16 +1,18 @@
 //! Reading `spacetime-obs/1` JSONL traces back into typed events.
 //!
-//! `st-obs` exports every event as one *flat* JSON object per line (no
-//! nesting, no escaped strings), behind a schema header. That restricted
-//! shape is parsed here with a small field scanner rather than a JSON
-//! dependency — the workspace is deliberately dependency-free, and the
-//! exporter's golden tests pin the exact bytes this reader accepts.
+//! `st-obs` exports every event as one flat JSON object per line, behind
+//! a schema header. Each line is parsed with the workspace's one JSON
+//! reader ([`st_core::json`]) and its fields are then looked up by name,
+//! so key order, whitespace and string escapes are all read correctly.
 //!
 //! Validation is strict: a missing or foreign schema header, an unknown
 //! event kind, an unknown gate op, or an event count that disagrees with
 //! the header all fail with a line-numbered [`InsightError::BadTrace`] —
-//! a truncated or hand-edited trace is rejected, never half-loaded.
+//! a truncated or hand-edited trace is rejected, never half-loaded. So
+//! does a line that is not a JSON object, and a time of `u64::MAX` (the
+//! reserved `∞` encoding; `∞` is written `null`).
 
+use st_core::json::Json;
 use st_core::Time;
 use st_obs::{ObsEvent, JSONL_SCHEMA};
 
@@ -35,23 +37,23 @@ impl ParsedTrace {
     }
 }
 
-/// The raw text of one field's value within a flat JSON object line:
-/// everything between `"key":` and the next top-level `,` or the closing
-/// `}`. Only sound for the flat, escape-free objects st-obs emits.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    // A string value may not contain `,` or `}` (op/stage names don't);
-    // numeric and null values never do.
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// One trace line, which must be a JSON object.
+fn object(line: &str, lineno: usize) -> Result<Json, InsightError> {
+    let message = match Json::parse(line) {
+        Ok(value @ Json::Obj(_)) => return Ok(value),
+        Ok(_) => "line is not a JSON object".to_owned(),
+        Err(e) => format!("malformed JSON: {e}"),
+    };
+    Err(InsightError::BadTrace {
+        line: lineno,
+        message,
+    })
 }
 
 /// A required unsigned-integer field.
-fn uint(line: &str, key: &str, lineno: usize) -> Result<u64, InsightError> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
+fn uint(obj: &Json, key: &str, lineno: usize) -> Result<u64, InsightError> {
+    obj.get(key)
+        .and_then(Json::as_u64)
         .ok_or_else(|| InsightError::BadTrace {
             line: lineno,
             message: format!("missing or non-integer field \"{key}\""),
@@ -59,20 +61,19 @@ fn uint(line: &str, key: &str, lineno: usize) -> Result<u64, InsightError> {
 }
 
 /// A required signed-integer field (potentials and weights go negative).
-fn int(line: &str, key: &str, lineno: usize) -> Result<i64, InsightError> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
+fn int(obj: &Json, key: &str, lineno: usize) -> Result<i64, InsightError> {
+    obj.get(key)
+        .and_then(Json::as_i64)
         .ok_or_else(|| InsightError::BadTrace {
             line: lineno,
             message: format!("missing or non-integer field \"{key}\""),
         })
 }
 
-/// A required quoted-string field, unquoted.
-fn string<'a>(line: &'a str, key: &str, lineno: usize) -> Result<&'a str, InsightError> {
-    field(line, key)
-        .and_then(|v| v.strip_prefix('"'))
-        .and_then(|v| v.strip_suffix('"'))
+/// A required string field.
+fn string<'a>(obj: &'a Json, key: &str, lineno: usize) -> Result<&'a str, InsightError> {
+    obj.get(key)
+        .and_then(Json::as_str)
         .ok_or_else(|| InsightError::BadTrace {
             line: lineno,
             message: format!("missing or non-string field \"{key}\""),
@@ -80,21 +81,15 @@ fn string<'a>(line: &'a str, key: &str, lineno: usize) -> Result<&'a str, Insigh
 }
 
 /// A required model-time field: ticks, or `null` for `∞`.
-fn time(line: &str, key: &str, lineno: usize) -> Result<Time, InsightError> {
-    match field(line, key) {
-        Some("null") => Ok(Time::INFINITY),
-        Some(v) => v
-            .parse()
-            .map(Time::finite)
-            .map_err(|_| InsightError::BadTrace {
-                line: lineno,
-                message: format!("field \"{key}\" is neither ticks nor null"),
-            }),
-        None => Err(InsightError::BadTrace {
-            line: lineno,
-            message: format!("missing time field \"{key}\""),
-        }),
-    }
+fn time(obj: &Json, key: &str, lineno: usize) -> Result<Time, InsightError> {
+    let value = obj.get(key).ok_or_else(|| InsightError::BadTrace {
+        line: lineno,
+        message: format!("missing time field \"{key}\""),
+    })?;
+    value.as_time().ok_or_else(|| InsightError::BadTrace {
+        line: lineno,
+        message: format!("field \"{key}\" is neither ticks nor null"),
+    })
 }
 
 /// Interns a recorded gate-op name back to the `&'static str` the event
@@ -125,6 +120,7 @@ fn intern_stage(stage: &str, lineno: usize) -> Result<&'static str, InsightError
 
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 fn parse_event(line: &str, lineno: usize) -> Result<ObsEvent, InsightError> {
+    let line = &object(line, lineno)?;
     let kind = string(line, "kind", lineno)?;
     Ok(match kind {
         "volley_start" => ObsEvent::VolleyStart {
@@ -153,12 +149,12 @@ fn parse_event(line: &str, lineno: usize) -> Result<ObsEvent, InsightError> {
             at: time(line, "at", lineno)?,
         },
         "wta_decision" => ObsEvent::WtaDecision {
-            winner: match field(line, "winner") {
-                Some("null") => None,
-                Some(v) => Some(v.parse().map_err(|_| InsightError::BadTrace {
+            winner: match line.get("winner") {
+                Some(Json::Null) => None,
+                Some(v) => Some(v.as_u64().ok_or_else(|| InsightError::BadTrace {
                     line: lineno,
                     message: "field \"winner\" is neither an index nor null".to_owned(),
-                })?),
+                })? as usize),
                 None => {
                     return Err(InsightError::BadTrace {
                         line: lineno,
@@ -215,13 +211,15 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, InsightError> {
         line: 0,
         message: "empty file".to_owned(),
     })?;
-    let schema = string(header, "schema", 1).map_err(|_| InsightError::BadTrace {
+    let not_a_header = |_| InsightError::BadTrace {
         line: 0,
         message: format!(
             "first line must be a {JSONL_SCHEMA:?} header (is this a raw event dump \
              from an older export?)"
         ),
-    })?;
+    };
+    let header = &object(header, 1).map_err(not_a_header)?;
+    let schema = string(header, "schema", 1).map_err(not_a_header)?;
     if schema != JSONL_SCHEMA {
         return Err(InsightError::BadTrace {
             line: 0,
@@ -366,6 +364,47 @@ mod tests {
         let text = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n\
                     {\"kind\":\"gate_melted\"}\n";
         assert!(parse_trace(text).is_err());
+    }
+
+    #[test]
+    fn reserved_infinity_ticks_and_malformed_lines_are_bad_traces() {
+        let header = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n";
+        let text = format!(
+            "{header}{{\"kind\":\"gate_fired\",\"gate\":0,\"op\":\"min\",\"at\":18446744073709551615}}\n"
+        );
+        assert_eq!(
+            parse_trace(&text).unwrap_err(),
+            InsightError::BadTrace {
+                line: 2,
+                message: "field \"at\" is neither ticks nor null".to_owned()
+            }
+        );
+        for line in [
+            "{\"kind\":\"volley_start\",\"index\":0",
+            "[1]",
+            "{\"kind\":1}",
+        ] {
+            let err = parse_trace(&format!("{header}{line}\n")).unwrap_err();
+            assert!(
+                matches!(err, InsightError::BadTrace { line: 2, .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn key_order_whitespace_and_escapes_do_not_matter() {
+        let text = "{ \"dropped\": 0, \"events\": 1, \"schema\": \"spacetime-obs/1\" }\n\
+                    {\"at\": null, \"op\": \"l\\u0074\", \"gate\": 9, \"kind\": \"gate_fired\"}\n";
+        let parsed = parse_trace(text).unwrap();
+        assert_eq!(
+            parsed.events,
+            vec![ObsEvent::GateFired {
+                gate: 9,
+                op: "lt",
+                at: Time::INFINITY,
+            }]
+        );
     }
 
     #[test]

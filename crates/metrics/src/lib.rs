@@ -28,7 +28,6 @@
 //!    committed baseline.
 
 pub mod hist;
-pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod report;

@@ -18,8 +18,9 @@
 
 use std::collections::BTreeMap;
 
+use st_core::json::Json;
+
 use crate::hist::nearest_rank;
-use crate::json::Json;
 
 /// Schema identifier written into (and required of) every bench report.
 pub const SCHEMA: &str = "spacetime-bench/1";
@@ -163,7 +164,7 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
 }
 
 fn num(n: u64) -> Json {
-    Json::Num(n as f64)
+    Json::Int(n.into())
 }
 
 impl BenchReport {
@@ -539,6 +540,33 @@ mod tests {
         let text = report.to_json();
         let parsed = BenchReport::from_json(&text).unwrap();
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn u64_fields_round_trip_exactly() {
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let mut report = sample_report(1000);
+            report.created_unix = n;
+            let scenario = &mut report.scenarios[0];
+            scenario.wall_nanos.p50 = n;
+            scenario.counters.insert("net.gate_evals".to_owned(), n);
+            // The f64 fields print as they always have.
+            scenario.wall_nanos.mean = 1000.0;
+            scenario.throughput_volleys_per_sec = 1234.5;
+            let text = report.to_json();
+            assert!(text.contains("\"mean\": 1000,"), "{text}");
+            assert!(
+                text.contains("\"throughput_volleys_per_sec\": 1234.5,"),
+                "{text}"
+            );
+            assert!(text.contains(&format!("\"created_unix\": {n},")), "{text}");
+            assert!(text.contains(&format!("\"p50\": {n},")), "{text}");
+            assert!(
+                text.contains(&format!("\"net.gate_evals\": {n}\n")),
+                "{text}"
+            );
+            assert_eq!(BenchReport::from_json(&text).unwrap(), report);
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use st_core::json::Json;
+
 use crate::report::BenchReport;
 
 /// Schema identifier written into (and required of) every ledger row.
@@ -59,7 +60,7 @@ impl TrendRow {
         fields.insert("label".to_owned(), Json::Str(self.label.clone()));
         fields.insert(
             "created_unix".to_owned(),
-            Json::Num(self.created_unix as f64),
+            Json::Int(self.created_unix.into()),
         );
         fields.insert("git_rev".to_owned(), Json::Str(self.git_rev.clone()));
         fields.insert(
@@ -67,7 +68,7 @@ impl TrendRow {
             Json::Obj(
                 self.p50s
                     .iter()
-                    .map(|(k, &v)| (k.clone(), Json::Num(v as f64)))
+                    .map(|(k, &v)| (k.clone(), Json::Int(v.into())))
                     .collect(),
             ),
         );
@@ -263,6 +264,22 @@ mod tests {
         let line = row.to_json_line();
         assert!(!line.contains('\n'), "{line}");
         assert_eq!(TrendRow::from_json_line(&line).unwrap(), row);
+    }
+
+    #[test]
+    fn p50s_and_timestamps_round_trip_exactly() {
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let row = TrendRow {
+                schema: TREND_SCHEMA.to_owned(),
+                label: "big".to_owned(),
+                created_unix: n,
+                git_rev: "abc1234".to_owned(),
+                p50s: BTreeMap::from([("net/8/t2".to_owned(), n)]),
+            };
+            let line = row.to_json_line();
+            assert!(line.contains(&format!("\"net/8/t2\":{n}}}")), "{line}");
+            assert_eq!(TrendRow::from_json_line(&line).unwrap(), row);
+        }
     }
 
     #[test]

@@ -1,45 +1,24 @@
 //! JSON rendering for certificates, counterexamples, and verify
 //! outcomes.
 //!
-//! Same constraints as `st_lint::json`: no serde in the build
-//! environment, so the emitters are hand-written for the one stable
-//! document shape each type needs. Spike times map `∞ → null` and
-//! finite ticks to plain numbers, so consumers never parse the `∞`
+//! Same approach as `st_lint::json`: the emitters are laid out by hand
+//! for the one stable document shape each type needs, with strings and
+//! spike times written by [`st_core::json`]. Spike times map `∞ → null`
+//! and finite ticks to plain numbers, so consumers never parse the `∞`
 //! glyph. The embedded diagnostics object is exactly
 //! [`st_lint::Report::to_json`]'s document, so one parser handles both
 //! `spacetime lint --json` and `spacetime verify --json` findings.
 
+use st_core::json::{self, escape_into};
 use st_core::Time;
 
 use crate::cert::Certificate;
 use crate::equiv::{Counterexample, EquivProof};
 use crate::VerifyOutcome;
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// One spike time as a JSON scalar: a number, or `null` for `∞`.
-fn time_json(t: Time) -> String {
-    t.value()
-        .map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
 /// A volley as a JSON array of scalars.
 fn times_json(times: &[Time]) -> String {
-    let cells: Vec<String> = times.iter().map(|&t| time_json(t)).collect();
+    let cells: Vec<String> = times.iter().map(|&t| json::time(t).to_string()).collect();
     format!("[{}]", cells.join(", "))
 }
 
@@ -85,8 +64,8 @@ impl Certificate {
                 out,
                 "    {{ \"line\": {}, \"lo\": {}, \"hi\": {}, \"maybe_silent\": {} }}",
                 b.line,
-                time_json(b.lo),
-                time_json(b.hi),
+                json::time(b.lo),
+                json::time(b.hi),
                 b.maybe_silent
             );
         }

@@ -647,6 +647,26 @@ fn bench_rejects_bad_flags_and_reports() {
 }
 
 #[test]
+fn bench_reads_a_deeply_nested_report_as_malformed_not_as_a_crash() {
+    // 200,000 unclosed brackets used to overflow the parser's stack
+    // (abort, exit 134); the nesting cap makes it an ordinary error.
+    let deep = TempFile::with_content("deep.json", &"[".repeat(200_000));
+    for args in [
+        vec!["bench", "--check", deep.to_str()],
+        vec!["bench", "--compare", deep.to_str(), deep.to_str()],
+        vec!["bench", "--trend", deep.to_str()],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("nesting deeper than 128 levels at byte 128"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn verify_clean_table_exits_zero_with_proofs() {
     let table = fig7_file();
     let out = bin().args(["verify", table.to_str()]).output().unwrap();
@@ -1177,6 +1197,24 @@ fn inspect_trace_mode_validates_the_export_schema() {
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("spacetime-obs/1"),
         "{out:?}"
+    );
+
+    // A time of u64::MAX (the reserved ∞ encoding) is a line-numbered
+    // bad trace, not a panic.
+    let bad = TempFile::with_content(
+        "max.jsonl",
+        "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n\
+         {\"kind\":\"gate_fired\",\"gate\":5,\"op\":\"min\",\"at\":18446744073709551615}\n",
+    );
+    let out = bin()
+        .args(["inspect", net.to_str(), "--trace", bad.to_str()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2") && stderr.contains("field \"at\" is neither ticks nor null"),
+        "{stderr}"
     );
 }
 
