@@ -98,7 +98,7 @@ fn main() {
         let mut recorder = st_obs::Recorder::new();
         for (index, inputs) in cases.iter().enumerate() {
             recorder.begin_volley(index);
-            compiled.run_probed(inputs, &mut recorder).unwrap();
+            compiled.run_with(inputs, &mut recorder).unwrap();
         }
         st_bench::write_trace(&trace_path, recorder.events());
     }

@@ -65,7 +65,7 @@ fn main() {
         for (index, tau) in (1..=4u64).enumerate() {
             recorder.begin_volley(index);
             sim.compile(&wta_network(5, tau))
-                .run_probed(&volley, &mut recorder)
+                .run_with(&volley, &mut recorder)
                 .unwrap();
         }
         st_bench::write_trace(&trace_path, recorder.events());

@@ -175,7 +175,7 @@ fn main() {
         .enumerate()
         {
             recorder.begin_volley(index);
-            sim.run_probed(&netlist, inputs, &mut recorder).unwrap();
+            sim.run_with(&netlist, inputs, &mut recorder).unwrap();
         }
         st_bench::write_trace(&trace_path, recorder.events());
     }

@@ -68,7 +68,7 @@ fn main() {
         // Traced variant of the same run: WTA decisions and STDP weight
         // deltas per presentation (bit-identical to the untraced training).
         let mut recorder = st_obs::Recorder::new();
-        st_tnn::train::train_column_probed(&mut col, &stream, &config, &mut recorder);
+        st_tnn::train::train_column_with(&mut col, &stream, &config, &mut recorder);
         st_bench::write_trace(&trace_path, recorder.events());
     } else {
         train_column(&mut col, &stream, &config);

@@ -121,7 +121,9 @@ fn main() {
         let mut recorder = st_obs::Recorder::new();
         for (index, s) in ds.stream(8).iter().enumerate() {
             recorder.begin_volley(index);
-            layer2.eval_probed(&layer1.eval(&s.volley), &mut recorder);
+            layer2
+                .eval_with(layer1.eval(&s.volley).times(), &mut recorder)
+                .expect("layer 1 emits layer 2's input width");
         }
         st_bench::write_trace(&trace_path, recorder.events());
     }

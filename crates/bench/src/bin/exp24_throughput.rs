@@ -8,8 +8,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::kernel::Plan;
+use spacetime::trace::SpanId;
 use st_bench::{banner, f3, print_table};
-use st_core::{FunctionTable, Time, Volley};
+use st_core::{FunctionTable, Time, Volley, VolleyBatch};
 use st_grl::{compile_network, GrlSim};
 use st_net::synth::{synthesize, SynthesisOptions};
 use st_net::EventSim;
@@ -294,11 +295,14 @@ fn software_throughput() {
 
     if let Some(trace_path) = st_bench::trace_out_arg() {
         let mut recorder = st_obs::Recorder::new();
+        let input = VolleyBatch::from_fn(3, volleys.len(), |row, line| volleys[row].times()[line]);
         BatchEvaluator::with_threads(4)
-            .eval_probed(
+            .eval_with(
                 &CompiledArtifact::from_table(&table),
-                &volleys,
+                &input,
+                &mut VolleyBatch::default(),
                 &mut recorder,
+                SpanId::NONE,
             )
             .unwrap();
         st_bench::write_trace(&trace_path, recorder.events());

@@ -75,7 +75,7 @@ fn main() {
     for (name, netlist) in &circuits {
         for (load, inputs) in workloads(netlist.input_count()) {
             let mut registry = MetricsRegistry::new();
-            let report = sim.run_metered(netlist, &inputs, &mut registry).unwrap();
+            let report = sim.run_with(netlist, &inputs, &mut registry).unwrap();
 
             // The live counters must agree exactly with the offline report.
             let counter = |key: &'static str| registry.counter(key);

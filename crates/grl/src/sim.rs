@@ -14,8 +14,9 @@
 //! cycle-exact equivalence with the algebraic evaluator in `st-net`.
 
 use st_core::{CoreError, Time, Volley};
-use st_metrics::{MetricSink, NullMetrics};
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_metrics::MetricsRegistry;
+use st_obs::ObsEvent;
+use st_trace::{Instrument, NullInstrument};
 
 use crate::netlist::{GrlGate, GrlNetlist};
 
@@ -101,59 +102,44 @@ impl GrlSim {
             netlist,
             inputs,
             &mut GrlScratch::default(),
-            &mut NullProbe,
-            &mut NullMetrics,
+            &mut NullInstrument,
         )
     }
 
-    /// [`GrlSim::run`] with a metric sink: accumulates the `grl.*`
-    /// counters — simulated cycles, wire transitions (the paper's § VI
-    /// energy proxy), reset transitions, and latch captures. With
-    /// [`NullMetrics`] this compiles to exactly [`GrlSim::run`]; results
-    /// are identical for any sink.
+    /// [`GrlSim::run`] under an instrument: every wire fall is an
+    /// [`ObsEvent::WireFell`] (in cycle order) and every `lt` latch
+    /// capture an [`ObsEvent::LatchBlocked`]; the counters are the
+    /// `grl.*` counts — simulated cycles, wire transitions (the paper's
+    /// § VI energy proxy), reset transitions, and latch captures. With
+    /// [`NullInstrument`] this compiles to exactly [`GrlSim::run`];
+    /// results are identical for any instrument.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
     /// the netlist's input count.
-    pub fn run_metered<M: MetricSink>(
+    pub fn run_with(
         &self,
         netlist: &GrlNetlist,
         inputs: &[Time],
-        sink: &mut M,
+        inst: &mut impl Instrument,
     ) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(
-            netlist,
-            inputs,
-            &mut GrlScratch::default(),
-            &mut NullProbe,
-            sink,
-        )
+        self.run_with_scratch(netlist, inputs, &mut GrlScratch::default(), inst)
     }
 
-    /// [`GrlSim::run`] with an observability probe: every wire fall is
-    /// reported as an [`ObsEvent::WireFell`] (in cycle order) and every
-    /// `lt` latch capture as an [`ObsEvent::LatchBlocked`]. With
-    /// [`NullProbe`] this compiles to exactly [`GrlSim::run`]; results
-    /// are identical for any probe.
+    /// [`GrlSim::run_with`] into a [`MetricsRegistry`], kept for
+    /// `benchmark/`. New code calls [`GrlSim::run_with`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the netlist's input count.
-    pub fn run_probed<P: Probe>(
+    /// As [`GrlSim::run_with`].
+    pub fn run_metered(
         &self,
         netlist: &GrlNetlist,
         inputs: &[Time],
-        probe: &mut P,
+        sink: &mut MetricsRegistry,
     ) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(
-            netlist,
-            inputs,
-            &mut GrlScratch::default(),
-            probe,
-            &mut NullMetrics,
-        )
+        self.run_with(netlist, inputs, sink)
     }
 
     /// Simulates one computation per entry of `volleys`, reusing the
@@ -172,25 +158,16 @@ impl GrlSim {
         let mut scratch = GrlScratch::default();
         volleys
             .iter()
-            .map(|v| {
-                self.run_with_scratch(
-                    netlist,
-                    v.times(),
-                    &mut scratch,
-                    &mut NullProbe,
-                    &mut NullMetrics,
-                )
-            })
+            .map(|v| self.run_with_scratch(netlist, v.times(), &mut scratch, &mut NullInstrument))
             .collect()
     }
 
-    fn run_with_scratch<P: Probe, M: MetricSink>(
+    fn run_with_scratch(
         &self,
         netlist: &GrlNetlist,
         inputs: &[Time],
         scratch: &mut GrlScratch,
-        probe: &mut P,
-        sink: &mut M,
+        inst: &mut impl Instrument,
     ) -> Result<GrlReport, CoreError> {
         if inputs.len() != netlist.input_count() {
             return Err(CoreError::ArityMismatch {
@@ -224,8 +201,8 @@ impl GrlSim {
                         if !level[b.index()] && prev_level[a.index()] && !blocked[i] {
                             blocked[i] = true;
                             lt_latched += 1;
-                            if probe.is_enabled() {
-                                probe.record(ObsEvent::LatchBlocked { wire: i, at: t });
+                            if inst.events_live() {
+                                inst.record(ObsEvent::LatchBlocked { wire: i, at: t });
                             }
                         }
                         level[a.index()] || blocked[i]
@@ -234,8 +211,8 @@ impl GrlSim {
                 };
                 if level[i] && !new_level {
                     fall[i] = t;
-                    if probe.is_enabled() {
-                        probe.record(ObsEvent::WireFell { wire: i, at: t });
+                    if inst.events_live() {
+                        inst.record(ObsEvent::WireFell { wire: i, at: t });
                     }
                 }
                 level[i] = new_level;
@@ -244,15 +221,15 @@ impl GrlSim {
         }
 
         let eval_transitions = fall.iter().filter(|f| f.is_finite()).count();
-        if sink.is_live() {
-            sink.incr("grl.runs", 1);
-            sink.incr("grl.cycles", horizon + 1);
-            sink.incr("grl.wire_transitions", eval_transitions as u64);
-            sink.incr(
+        if inst.counters_live() {
+            inst.incr("grl.runs", 1);
+            inst.incr("grl.cycles", horizon + 1);
+            inst.incr("grl.wire_transitions", eval_transitions as u64);
+            inst.incr(
                 "grl.reset_transitions",
                 (eval_transitions + lt_latched) as u64,
             );
-            sink.incr("grl.latch_captures", lt_latched as u64);
+            inst.incr("grl.latch_captures", lt_latched as u64);
         }
         let outputs = netlist.outputs().iter().map(|o| fall[o.index()]).collect();
         Ok(GrlReport {
@@ -435,7 +412,7 @@ mod tests {
         let sim = GrlSim::new();
         // b falls first: latch captures, two wires fall.
         let mut recorder = Recorder::new();
-        let probed = sim.run_probed(&net, &[t(5), t(1)], &mut recorder).unwrap();
+        let probed = sim.run_with(&net, &[t(5), t(1)], &mut recorder).unwrap();
         assert_eq!(probed, sim.run(&net, &[t(5), t(1)]).unwrap());
         let falls: Vec<(usize, Time)> = recorder
             .events()
@@ -475,7 +452,7 @@ mod tests {
         let sim = GrlSim::new();
         // b falls first: latch captures, two wires fall.
         let mut sink = MetricsRegistry::new();
-        let metered = sim.run_metered(&net, &[t(5), t(1)], &mut sink).unwrap();
+        let metered = sim.run_with(&net, &[t(5), t(1)], &mut sink).unwrap();
         let plain = sim.run(&net, &[t(5), t(1)]).unwrap();
         assert_eq!(metered, plain);
         assert_eq!(sink.counter("grl.runs"), 1);
@@ -490,7 +467,7 @@ mod tests {
         );
         assert_eq!(sink.counter("grl.latch_captures"), 1);
         // Counters accumulate across runs into the same sink.
-        let _ = sim.run_metered(&net, &[t(5), t(1)], &mut sink).unwrap();
+        let _ = sim.run_with(&net, &[t(5), t(1)], &mut sink).unwrap();
         assert_eq!(sink.counter("grl.runs"), 2);
         assert_eq!(
             sink.counter("grl.wire_transitions"),

@@ -1,7 +1,8 @@
 //! # st-insight — semantic analysis over recorded space-time traces
 //!
-//! The observability triple (`st-obs` probes, `st-metrics` counters,
-//! `st-trace` spans) answers *what happened* and *how fast*. This crate
+//! The observability triple (`st-obs` events, `st-metrics` counters,
+//! `st-trace` spans, all reported through the one `st_trace::Instrument`
+//! hook surface) answers *what happened* and *how fast*. This crate
 //! answers the question the paper's model makes central: space-time
 //! functions are causal (§ II), so every output spike has a bounded
 //! backward cone of influence through the gate graph's delayed fan-in —

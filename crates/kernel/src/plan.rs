@@ -4,10 +4,9 @@
 use st_core::{lane, CoreError, Time, Volley, VolleyBatch};
 use st_grl::GrlNetlist;
 use st_lint::{LintGraph, LintOp};
-use st_metrics::MetricSink;
 use st_net::{GateKind, Network};
-use st_obs::{ObsEvent, Probe};
-use st_trace::{SpanId, Tracer};
+use st_obs::ObsEvent;
+use st_trace::{Instrument, NullInstrument, SpanId};
 
 /// One flattened gate operation.
 ///
@@ -106,15 +105,15 @@ impl Plan {
 
     /// [`Plan::from_network`] under a `plan.build` span, so profiles
     /// attribute flattening cost separately from evaluation. With a
-    /// `NullTracer` this is exactly [`Plan::from_network`].
+    /// [`NullInstrument`] this is exactly [`Plan::from_network`].
     ///
     /// # Panics
     ///
     /// See [`Plan::from_network`].
     #[must_use]
-    pub fn from_network_traced<T: Tracer>(
+    pub fn from_network_traced(
         network: &Network,
-        tracer: &mut T,
+        tracer: &mut impl Instrument,
         parent: SpanId,
     ) -> Plan {
         let _span = tracer.span("plan.build", parent);
@@ -143,9 +142,9 @@ impl Plan {
     /// [`Plan::from_grl`] under a `plan.build` span; see
     /// [`Plan::from_network_traced`].
     #[must_use]
-    pub fn from_grl_traced<T: Tracer>(
+    pub fn from_grl_traced(
         netlist: &GrlNetlist,
-        tracer: &mut T,
+        tracer: &mut impl Instrument,
         parent: SpanId,
     ) -> Plan {
         let _span = tracer.span("plan.build", parent);
@@ -239,55 +238,24 @@ impl Plan {
     /// Returns [`CoreError::ArityMismatch`] if `inputs` has the wrong
     /// width.
     pub fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, CoreError> {
-        self.eval_instrumented(inputs, &mut st_obs::NullProbe, &mut st_metrics::NullMetrics)
+        self.eval_with(inputs, &mut NullInstrument)
     }
 
-    /// [`Plan::eval`] with a metric sink: counts `kernel.volleys` and
-    /// `kernel.gates` (scalar gate evaluations). Results are identical
-    /// for any sink.
+    /// [`Plan::eval`] under an instrument: one [`ObsEvent::GateFired`] per
+    /// gate whose value is finite, in plan order — the same vocabulary as
+    /// the event simulator, so exporters need no new cases — and the
+    /// `kernel.volleys` and `kernel.gates` (scalar gate evaluations)
+    /// counters. With [`NullInstrument`] this is exactly [`Plan::eval`];
+    /// results are identical for any instrument.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ArityMismatch`] if `inputs` has the wrong
     /// width.
-    pub fn eval_metered<M: MetricSink>(
+    pub fn eval_with(
         &self,
         inputs: &[Time],
-        sink: &mut M,
-    ) -> Result<Vec<Time>, CoreError> {
-        self.eval_instrumented(inputs, &mut st_obs::NullProbe, sink)
-    }
-
-    /// [`Plan::eval`] with a probe: emits one [`ObsEvent::GateFired`]
-    /// per gate whose value is finite, in plan order — the same
-    /// vocabulary as the event simulator, so exporters need no new
-    /// cases. Results are identical for any probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs` has the wrong
-    /// width.
-    pub fn eval_probed<P: Probe>(
-        &self,
-        inputs: &[Time],
-        probe: &mut P,
-    ) -> Result<Vec<Time>, CoreError> {
-        self.eval_instrumented(inputs, probe, &mut st_metrics::NullMetrics)
-    }
-
-    /// The instrumented scalar evaluator behind [`Plan::eval`],
-    /// [`Plan::eval_probed`], and [`Plan::eval_metered`]. With null
-    /// instruments this is exactly [`Plan::eval`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs` has the wrong
-    /// width.
-    pub fn eval_instrumented<P: Probe, M: MetricSink>(
-        &self,
-        inputs: &[Time],
-        probe: &mut P,
-        sink: &mut M,
+        inst: &mut impl Instrument,
     ) -> Result<Vec<Time>, CoreError> {
         if inputs.len() != self.input_count {
             return Err(CoreError::ArityMismatch {
@@ -295,7 +263,7 @@ impl Plan {
                 actual: inputs.len(),
             });
         }
-        let enabled = probe.is_enabled();
+        let enabled = inst.events_live();
         let mut values: Vec<Time> = Vec::with_capacity(self.ops.len());
         for g in 0..self.ops.len() {
             let v = match self.ops[g] {
@@ -313,7 +281,7 @@ impl Plan {
                 }
             };
             if enabled && v.is_finite() {
-                probe.record(ObsEvent::GateFired {
+                inst.record(ObsEvent::GateFired {
                     gate: g,
                     op: self.ops[g].tag(),
                     at: v,
@@ -321,9 +289,9 @@ impl Plan {
             }
             values.push(v);
         }
-        if sink.is_live() {
-            sink.incr("kernel.volleys", 1);
-            sink.incr("kernel.gates", self.ops.len() as u64);
+        if inst.counters_live() {
+            inst.incr("kernel.volleys", 1);
+            inst.incr("kernel.gates", self.ops.len() as u64);
         }
         Ok(self.outputs.iter().map(|&o| values[o as usize]).collect())
     }

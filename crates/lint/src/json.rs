@@ -29,7 +29,7 @@ use crate::diag::{Code, Diagnostic, Location, Report, Severity};
 
 impl Report {
     /// Renders the report as a JSON document (the shape documented in
-    /// [`crate::json`]).
+    /// `docs/lint.md`, "JSON shape").
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;

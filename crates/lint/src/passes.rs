@@ -30,7 +30,7 @@
 //! paths (on timing paths STA004 already fires, strictly stronger).
 
 use st_core::Time;
-use st_trace::{NullTracer, SpanId, Tracer};
+use st_trace::{Instrument, NullInstrument, SpanId};
 
 use crate::diag::{Code, Diagnostic, Location, Report, Severity};
 use crate::graph::{LintGraph, LintOp};
@@ -69,14 +69,14 @@ impl Default for LintOptions {
 /// Runs every graph pass and returns the combined report.
 #[must_use]
 pub fn lint_graph(graph: &LintGraph, options: &LintOptions) -> Report {
-    lint_graph_traced(graph, options, &mut NullTracer, SpanId::NONE)
+    lint_graph_traced(graph, options, &mut NullInstrument, SpanId::NONE)
 }
 
 /// [`lint_graph`] with a span per pass recorded under `parent`
 /// (`lint.pass.structure`, `lint.pass.intervals`, ...). With a
-/// [`NullTracer`] this is exactly `lint_graph`.
+/// [`NullInstrument`] this is exactly `lint_graph`.
 #[must_use]
-pub fn lint_graph_traced<T: Tracer>(
+pub fn lint_graph_traced<T: Instrument>(
     graph: &LintGraph,
     options: &LintOptions,
     tracer: &mut T,

@@ -1,8 +1,8 @@
 //! Prometheus text-format export.
 //!
-//! [`MetricsSnapshot`] freezes a [`MetricsRegistry`](crate::MetricsRegistry)
-//! into an ordered, render-ready form; [`MetricsSnapshot::to_prom_text`]
-//! emits the Prometheus exposition format (text version 0.0.4): one
+//! [`MetricsSnapshot`] freezes a [`MetricsRegistry`] into an ordered,
+//! render-ready form; [`MetricsSnapshot::to_prom_text`] emits the
+//! Prometheus exposition format (text version 0.0.4): one
 //! `counter` family per counter and one `histogram` family (cumulative
 //! `_bucket{le=...}` series plus `_sum`/`_count`) per histogram. Metric
 //! names are the registry names with `.` mapped to `_` and a `spacetime_`
@@ -150,7 +150,6 @@ fn last_used_bucket(h: &Histogram) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricSink;
 
     #[test]
     fn prom_name_sanitizes() {

@@ -1,69 +1,24 @@
-//! The [`MetricSink`] trait and the collecting [`MetricsRegistry`].
+//! The collecting [`MetricsRegistry`]: the counters group of the
+//! workspace's one instrumentation surface (`st_trace::Instrument`).
 //!
-//! This mirrors the `st-obs` probe pattern exactly: engines expose
-//! `*_metered` entry points generic over `M: MetricSink`, guard every
-//! metric interaction behind [`MetricSink::is_live`], and the plain entry
-//! points instantiate them with [`NullMetrics`], whose methods are
-//! `#[inline(always)]` constants — after monomorphization the unmetered
-//! code is exactly what was there before metrics existed.
+//! Engines report counters through their `*_with` entry points, behind
+//! the instrument's hoisted `counters_live` check; `st-trace` implements
+//! that group for [`MetricsRegistry`] by forwarding to
+//! [`MetricsRegistry::incr`], [`MetricsRegistry::observe`] and
+//! [`MetricsRegistry::absorb`].
 //!
-//! Unlike probes (which record a *stream*), sinks aggregate in place:
-//! counters are monotonic sums keyed by a static name, histograms are
-//! fixed-bucket distributions. Both live in `BTreeMap`s, so iteration —
-//! and therefore every export — is deterministically name-ordered, and
-//! merging per-worker registries in worker order yields the same snapshot
-//! on every run regardless of thread scheduling.
+//! Unlike events (a *stream*), counters aggregate in place: counters are
+//! monotonic sums keyed by a static name, histograms are fixed-bucket
+//! distributions. Both live in `BTreeMap`s, so iteration — and therefore
+//! every export — is deterministically name-ordered, and merging
+//! per-worker registries in worker order yields the same snapshot on
+//! every run regardless of thread scheduling.
 
 use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
 
-/// A sink for engine performance metrics.
-///
-/// Engines promise to call the recording methods only when
-/// [`MetricSink::is_live`] returns `true`, and to never let the sink
-/// influence their results (the workspace property suite pins metered and
-/// plain runs bit-identical).
-pub trait MetricSink {
-    /// Whether this sink wants metrics at all. Engines hoist this into a
-    /// local `bool` at entry, so a dead sink pays nothing — not even the
-    /// bookkeeping needed to produce the numbers.
-    fn is_live(&self) -> bool;
-
-    /// Adds `by` to the named monotonic counter.
-    fn incr(&mut self, counter: &'static str, by: u64);
-
-    /// Records one observation into the named histogram.
-    fn observe(&mut self, histogram: &'static str, value: u64);
-
-    /// Folds a whole registry in (counters added, histograms merged
-    /// bucket-wise). The batch engine's workers aggregate into private
-    /// registries and the calling thread absorbs them post-join in worker
-    /// order, keeping the merged result deterministic.
-    fn absorb(&mut self, other: &MetricsRegistry);
-}
-
-/// The zero-overhead default sink: dead, ignores everything.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NullMetrics;
-
-impl MetricSink for NullMetrics {
-    #[inline(always)]
-    fn is_live(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn incr(&mut self, _counter: &'static str, _by: u64) {}
-
-    #[inline(always)]
-    fn observe(&mut self, _histogram: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn absorb(&mut self, _other: &MetricsRegistry) {}
-}
-
-/// The collecting sink: named monotonic counters plus named fixed-bucket
+/// The counter collector: named monotonic counters plus named fixed-bucket
 /// histograms, in deterministic (name) order.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {
@@ -105,25 +60,20 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
     }
-}
 
-impl MetricSink for MetricsRegistry {
-    #[inline]
-    fn is_live(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn incr(&mut self, counter: &'static str, by: u64) {
+    /// Adds `by` to the named monotonic counter.
+    pub fn incr(&mut self, counter: &'static str, by: u64) {
         *self.counters.entry(counter).or_insert(0) += by;
     }
 
-    #[inline]
-    fn observe(&mut self, histogram: &'static str, value: u64) {
+    /// Records one observation into the named histogram.
+    pub fn observe(&mut self, histogram: &'static str, value: u64) {
         self.histograms.entry(histogram).or_default().observe(value);
     }
 
-    fn absorb(&mut self, other: &MetricsRegistry) {
+    /// Folds a whole registry in: counters added, histograms merged
+    /// bucket-wise.
+    pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (&name, &value) in &other.counters {
             *self.counters.entry(name).or_insert(0) += value;
         }
@@ -138,18 +88,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_metrics_is_dead() {
-        let mut m = NullMetrics;
-        assert!(!m.is_live());
-        m.incr("x", 1); // must be no-ops
-        m.observe("y", 2);
-        m.absorb(&MetricsRegistry::new());
-    }
-
-    #[test]
     fn registry_accumulates() {
         let mut r = MetricsRegistry::new();
-        assert!(r.is_live());
         assert!(r.is_empty());
         r.incr("net.gate_evals", 3);
         r.incr("net.gate_evals", 2);

@@ -5,7 +5,7 @@
 //! -p st-metrics --test golden`) and review the diff — Prometheus
 //! scrapers parse these bytes.
 
-use st_metrics::{MetricSink, MetricsRegistry, MetricsSnapshot};
+use st_metrics::{MetricsRegistry, MetricsSnapshot};
 
 /// A deterministic miniature registry touching every rendering path:
 /// plain counters, a dotted name needing sanitization, a histogram with

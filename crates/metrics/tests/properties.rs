@@ -5,7 +5,7 @@
 //! convention, not a correctness requirement.
 
 use proptest::prelude::*;
-use st_metrics::{Histogram, MetricSink, MetricsRegistry};
+use st_metrics::{Histogram, MetricsRegistry};
 
 fn hist_of(samples: &[u64]) -> Histogram {
     let mut h = Histogram::new();

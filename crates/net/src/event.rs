@@ -26,8 +26,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use st_core::{CoreError, Time, Volley};
-use st_metrics::{MetricSink, NullMetrics};
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_obs::ObsEvent;
+use st_trace::{Instrument, NullInstrument};
 
 use crate::graph::{GateKind, Network};
 
@@ -177,57 +177,24 @@ impl CompiledNetwork {
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
     /// the network's input count.
     pub fn run(&self, inputs: &[Time]) -> Result<EventReport, CoreError> {
-        self.run_probed(inputs, &mut NullProbe)
+        self.run_with(inputs, &mut NullInstrument)
     }
 
-    /// [`CompiledNetwork::run`] with an observability probe: every gate
-    /// firing (inputs and constants included) is reported as an
-    /// [`ObsEvent::GateFired`]. With [`NullProbe`] this compiles to
-    /// exactly [`CompiledNetwork::run`]; results are identical for any
-    /// probe.
+    /// [`CompiledNetwork::run`] under an instrument: every gate firing
+    /// (inputs and constants included) is an [`ObsEvent::GateFired`], and
+    /// the counters are the `net.*` counts (gate evaluations, firings,
+    /// queue pushes/pops) plus the `net.queue_peak_depth` histogram. With
+    /// [`NullInstrument`] this compiles to exactly [`CompiledNetwork::run`];
+    /// results are identical for any instrument.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
     /// the network's input count.
-    pub fn run_probed<P: Probe>(
+    pub fn run_with(
         &self,
         inputs: &[Time],
-        probe: &mut P,
-    ) -> Result<EventReport, CoreError> {
-        self.run_instrumented(inputs, probe, &mut NullMetrics)
-    }
-
-    /// [`CompiledNetwork::run`] with a metric sink: accumulates the
-    /// `net.*` counters (gate evaluations, firings, queue pushes/pops)
-    /// and the `net.queue_peak_depth` histogram. With [`NullMetrics`]
-    /// this compiles to exactly [`CompiledNetwork::run`]; results are
-    /// identical for any sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the network's input count.
-    pub fn run_metered<M: MetricSink>(
-        &self,
-        inputs: &[Time],
-        sink: &mut M,
-    ) -> Result<EventReport, CoreError> {
-        self.run_instrumented(inputs, &mut NullProbe, sink)
-    }
-
-    /// The fully instrumented evaluator behind [`CompiledNetwork::run`],
-    /// [`CompiledNetwork::run_probed`], and [`CompiledNetwork::run_metered`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the network's input count.
-    pub fn run_instrumented<P: Probe, M: MetricSink>(
-        &self,
-        inputs: &[Time],
-        probe: &mut P,
-        sink: &mut M,
+        inst: &mut impl Instrument,
     ) -> Result<EventReport, CoreError> {
         if inputs.len() != self.input_count {
             return Err(CoreError::ArityMismatch {
@@ -248,8 +215,8 @@ impl CompiledNetwork {
         // idempotent once a gate has fired).
         let mut queue: BinaryHeap<Reverse<(Time, usize)>> = BinaryHeap::new();
         // Metric bookkeeping is guarded by one hoisted liveness bool; with
-        // a dead sink every branch below constant-folds away.
-        let metered = sink.is_live();
+        // a dead instrument every branch below constant-folds away.
+        let metered = inst.counters_live();
         let mut queue_pushes = 0u64;
         let mut queue_pops = 0u64;
         let mut gate_evals = 0u64;
@@ -265,8 +232,8 @@ impl CompiledNetwork {
             if at.is_finite() {
                 fired[i] = at;
                 total_events += 1;
-                if probe.is_enabled() {
-                    probe.record(ObsEvent::GateFired {
+                if inst.events_live() {
+                    inst.record(ObsEvent::GateFired {
                         gate: i,
                         op: op_name(*kind),
                         at,
@@ -319,8 +286,8 @@ impl CompiledNetwork {
                 fired[gate] = at;
                 total_events += 1;
                 internal_events += 1;
-                if probe.is_enabled() {
-                    probe.record(ObsEvent::GateFired {
+                if inst.events_live() {
+                    inst.record(ObsEvent::GateFired {
                         gate,
                         op: op_name(kinds[gate]),
                         at,
@@ -341,12 +308,12 @@ impl CompiledNetwork {
         }
 
         if metered {
-            sink.incr("net.runs", 1);
-            sink.incr("net.gate_evals", gate_evals);
-            sink.incr("net.gate_firings", total_events as u64);
-            sink.incr("net.queue_pushes", queue_pushes);
-            sink.incr("net.queue_pops", queue_pops);
-            sink.observe("net.queue_peak_depth", peak_depth as u64);
+            inst.incr("net.runs", 1);
+            inst.incr("net.gate_evals", gate_evals);
+            inst.incr("net.gate_firings", total_events as u64);
+            inst.incr("net.queue_pushes", queue_pushes);
+            inst.incr("net.queue_pops", queue_pops);
+            inst.observe("net.queue_peak_depth", peak_depth as u64);
         }
         let outputs = self.outputs.iter().map(|&o| fired[o]).collect();
         Ok(EventReport {
@@ -528,7 +495,7 @@ mod tests {
         let compiled = EventSim::new().compile(&net);
         for inputs in st_core::enumerate_inputs(3, 3) {
             let mut recorder = Recorder::new();
-            let probed = compiled.run_probed(&inputs, &mut recorder).unwrap();
+            let probed = compiled.run_with(&inputs, &mut recorder).unwrap();
             let plain = compiled.run(&inputs).unwrap();
             assert_eq!(probed, plain, "at {inputs:?}");
             // One GateFired event per firing, times matching the report.
@@ -543,7 +510,7 @@ mod tests {
         // Ops are labelled by kind.
         let mut recorder = Recorder::new();
         let _ = compiled
-            .run_probed(&[t(0), t(3), t(2)], &mut recorder)
+            .run_with(&[t(0), t(3), t(2)], &mut recorder)
             .unwrap();
         let ops: Vec<&str> = recorder
             .events()
@@ -558,13 +525,13 @@ mod tests {
 
     #[test]
     fn metered_run_counts_activity_without_perturbing_results() {
-        use st_metrics::{MetricSink, MetricsRegistry};
+        use st_metrics::MetricsRegistry;
         let net = fig6();
         let compiled = EventSim::new().compile(&net);
         let mut sink = MetricsRegistry::new();
         let mut runs = 0u64;
         for inputs in st_core::enumerate_inputs(3, 3) {
-            let metered = compiled.run_metered(&inputs, &mut sink).unwrap();
+            let metered = compiled.run_with(&inputs, &mut sink).unwrap();
             assert_eq!(metered, compiled.run(&inputs).unwrap(), "at {inputs:?}");
             runs += 1;
         }
@@ -580,13 +547,13 @@ mod tests {
         // A single all-finite volley: 3 seeds + 3 internal firings, and
         // every push is eventually popped.
         let mut one = MetricsRegistry::new();
-        let report = compiled.run_metered(&[t(0), t(3), t(2)], &mut one).unwrap();
+        let report = compiled.run_with(&[t(0), t(3), t(2)], &mut one).unwrap();
         assert_eq!(report.total_events, 6);
         assert_eq!(one.counter("net.gate_firings"), 6);
         assert_eq!(one.counter("net.runs"), 1);
         // The sink never influences results even when pre-populated.
         one.incr("net.gate_firings", 1000);
-        let again = compiled.run_metered(&[t(0), t(3), t(2)], &mut one).unwrap();
+        let again = compiled.run_with(&[t(0), t(3), t(2)], &mut one).unwrap();
         assert_eq!(again, report);
     }
 

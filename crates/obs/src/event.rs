@@ -4,9 +4,10 @@
 //! firings for the discrete-event network evaluator, wire falls for the
 //! CMOS race-logic simulator, membrane-potential samples and spikes for
 //! SRM0 neurons, WTA/STDP decisions for the training loop, and wall-clock
-//! timings for the batch engine. A [`crate::Probe`] receives them all
-//! through one funnel, so exporters and statistics never need to know
-//! which engine produced a trace.
+//! timings for the batch engine. The events group of
+//! `st_trace::Instrument` receives them all through one funnel, so
+//! exporters and statistics never need to know which engine produced a
+//! trace.
 
 use st_core::Time;
 

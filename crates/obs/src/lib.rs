@@ -8,33 +8,30 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`probe`] | the [`Probe`] trait, the zero-overhead [`NullProbe`], the collecting [`Recorder`] |
+//! | [`probe`] | the collecting [`Recorder`] |
 //! | [`event`] | the typed [`ObsEvent`] vocabulary every engine shares |
 //! | [`export`] | spike-raster CSV, JSONL, Chrome `trace_event` exporters |
 //! | [`stats`] | [`RunStats`] run summaries (spikes/volley, winner histograms, latency percentiles) |
 //!
-//! Two sibling crates apply the same zero-overhead pattern to the other
-//! observability axes: `st-metrics` (counters and histograms behind
-//! `MetricSink`) and `st-trace` (hierarchical wall-clock spans behind
-//! `Tracer`, rendered as flamegraphs and Chrome timelines by
-//! `spacetime profile`).
+//! Engines report events through the events group of
+//! `st_trace::Instrument` — the one hook surface that also carries
+//! `st-metrics` counters and `st-trace` spans — and `st-trace` implements
+//! that group for [`Recorder`].
 //!
 //! ## The zero-overhead contract
 //!
-//! Engines expose `*_probed` entry points generic over `P: Probe` and
-//! guard every event construction behind [`Probe::is_enabled`]. The
-//! plain entry points instantiate them with [`NullProbe`], whose two
-//! methods are `#[inline(always)]` constants — the optimizer erases the
-//! instrumentation entirely, so existing call sites compile to exactly
-//! the pre-observability code. The workspace property suite additionally
-//! pins the semantic half of the contract: a [`Recorder`]-instrumented
-//! run returns bit-identical results to an uninstrumented one, across
-//! all four engines and any thread count.
+//! An engine's `*_with` entry point guards every event construction
+//! behind the instrument's `events_live` check; its plain entry point
+//! passes `st_trace::NullInstrument`, whose hooks are `#[inline(always)]`
+//! constants, so the optimizer erases the instrumentation entirely. The
+//! workspace property suite pins the semantic half of the contract: a
+//! [`Recorder`]-instrumented run returns bit-identical results to an
+//! uninstrumented one, across every engine and any thread count.
 //!
 //! ## Example
 //!
 //! ```
-//! use st_obs::{spike_raster_csv, ObsEvent, Probe, Recorder, RunStats};
+//! use st_obs::{spike_raster_csv, ObsEvent, Recorder, RunStats};
 //! use st_core::Time;
 //!
 //! // An engine records what happened…
@@ -57,5 +54,5 @@ pub use event::ObsEvent;
 pub use export::{
     chrome_trace, events_jsonl, events_jsonl_with_dropped, spike_raster_csv, JSONL_SCHEMA,
 };
-pub use probe::{NullProbe, Probe, Recorder};
+pub use probe::Recorder;
 pub use stats::RunStats;

@@ -1,52 +1,14 @@
-//! The [`Probe`] trait and its two canonical implementations.
+//! [`Recorder`], the collector for the events group of the workspace's
+//! one instrumentation surface (`st_trace::Instrument`).
 //!
-//! Engines take a `&mut P where P: Probe` parameter on their `*_probed`
-//! entry points. The default implementation, [`NullProbe`], reports
-//! itself disabled and ignores every event; because both methods are
-//! trivially inlinable, a call site instantiated with `NullProbe`
-//! compiles to exactly the uninstrumented code — observation is free
-//! unless you ask for it. [`Recorder`] is the concrete collector: it
-//! keeps every event in arrival order for export or scoring.
+//! Engines report [`ObsEvent`]s through their `*_with` entry points,
+//! guarded by the instrument's `events_live` check; `st-trace` implements
+//! that group for [`Recorder`] by forwarding to [`Recorder::record`]. The
+//! recorder keeps every event in arrival order for export or scoring.
 
 use crate::event::ObsEvent;
 
-/// A sink for engine events.
-///
-/// Implementors decide what to do with each [`ObsEvent`]; engines promise
-/// to call [`Probe::record`] only when [`Probe::is_enabled`] returns
-/// `true`, and to never let the probe influence their results (the
-/// equivalence property suite pins instrumented and uninstrumented runs
-/// bit-identical).
-pub trait Probe {
-    /// Whether this probe wants events at all. Engines guard event
-    /// construction behind this, so a disabled probe pays nothing.
-    fn is_enabled(&self) -> bool;
-
-    /// Accepts one event. Only called when [`Probe::is_enabled`] is
-    /// `true`.
-    fn record(&mut self, event: ObsEvent);
-}
-
-/// The zero-overhead default probe: disabled, ignores everything.
-///
-/// Pass `&mut NullProbe` (or use the non-`_probed` engine entry points,
-/// which do so internally) to run without instrumentation.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NullProbe;
-
-impl Probe for NullProbe {
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record(&mut self, event: ObsEvent) {
-        let _ = event;
-    }
-}
-
-/// A probe that keeps every event, in arrival order.
+/// The event collector: keeps every event, in arrival order.
 ///
 /// By default the recorder grows without bound. Long-running drivers can
 /// cap it with [`Recorder::with_capacity`]: once the cap is reached,
@@ -125,27 +87,21 @@ impl Recorder {
         self.events.is_empty()
     }
 
-    /// Records a [`ObsEvent::VolleyStart`] marker: subsequent engine
-    /// events belong to volley `index`. Drivers call this between
-    /// per-volley runs. Subject to the capacity cap like any event.
-    pub fn begin_volley(&mut self, index: usize) {
-        self.record(ObsEvent::VolleyStart { index });
-    }
-}
-
-impl Probe for Recorder {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn record(&mut self, event: ObsEvent) {
+    /// Accepts one event, or counts it as dropped once the capacity is
+    /// reached.
+    pub fn record(&mut self, event: ObsEvent) {
         if self.capacity.is_some_and(|cap| self.events.len() >= cap) {
             self.dropped += 1;
         } else {
             self.events.push(event);
         }
+    }
+
+    /// Records a [`ObsEvent::VolleyStart`] marker: subsequent engine
+    /// events belong to volley `index`. Drivers call this between
+    /// per-volley runs. Subject to the capacity cap like any event.
+    pub fn begin_volley(&mut self, index: usize) {
+        self.record(ObsEvent::VolleyStart { index });
     }
 }
 
@@ -155,16 +111,8 @@ mod tests {
     use st_core::Time;
 
     #[test]
-    fn null_probe_is_disabled() {
-        let mut p = NullProbe;
-        assert!(!p.is_enabled());
-        p.record(ObsEvent::VolleyStart { index: 0 }); // must be a no-op
-    }
-
-    #[test]
     fn recorder_keeps_arrival_order() {
         let mut r = Recorder::new();
-        assert!(r.is_enabled());
         assert!(r.is_empty());
         r.begin_volley(0);
         r.record(ObsEvent::GateFired {

@@ -19,9 +19,8 @@ use std::time::Instant;
 
 use st_core::FunctionTable;
 use st_lint::{Code, Diagnostic, Location, Report, Severity};
-use st_metrics::MetricSink;
 use st_net::{network_to_text, Network};
-use st_trace::{NullTracer, SpanId, Tracer};
+use st_trace::{Instrument, NullInstrument, SpanId};
 use st_verify::equiv::{check_equiv_traced, EquivResult};
 use st_verify::eval::{Evaluator, NetEvaluator, TableEvaluator};
 use st_verify::{required_window, Artifact};
@@ -241,22 +240,22 @@ impl OptOutcome {
     }
 }
 
-/// Records the run into a metric sink under the `opt.*` names the bench
+/// Records the run as counters under the `opt.*` names the bench
 /// matrix and `docs/metrics.md` catalogue.
-pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
-    if !sink.is_live() {
+pub fn record_metrics(outcome: &OptOutcome, inst: &mut impl Instrument) {
+    if !inst.counters_live() {
         return;
     }
-    sink.incr("opt.gates_before", outcome.before as u64);
-    sink.incr("opt.gates_after", outcome.after as u64);
-    sink.incr(
+    inst.incr("opt.gates_before", outcome.before as u64);
+    inst.incr("opt.gates_after", outcome.after as u64);
+    inst.incr(
         "opt.gates_saved",
         (outcome.before.saturating_sub(outcome.after)) as u64,
     );
-    sink.incr("opt.passes_run", outcome.records.len() as u64);
-    sink.incr("opt.passes_rejected", outcome.rejected() as u64);
+    inst.incr("opt.passes_run", outcome.records.len() as u64);
+    inst.incr("opt.passes_rejected", outcome.rejected() as u64);
     for r in &outcome.records {
-        sink.observe(r.pass.nanos_metric(), r.wall_nanos);
+        inst.observe(r.pass.nanos_metric(), r.wall_nanos);
     }
 }
 
@@ -289,7 +288,7 @@ impl SampleRng {
 /// feasible, seeded differential sample otherwise. The proof obligation
 /// is recorded as a `verify.check_equiv` span under the pass span, with
 /// the prover's own `verify.window` sub-spans below it.
-fn gate<T: Tracer>(
+fn gate<T: Instrument>(
     current: &dyn Evaluator,
     candidate: &dyn Evaluator,
     window: u64,
@@ -362,18 +361,18 @@ fn rejection_diagnostic(pass: Pass, why: &str) -> Diagnostic {
 /// other drivers); rejections come back inside the outcome, not as
 /// errors.
 pub fn optimize_network(network: &Network, options: &OptOptions) -> Result<OptOutcome, String> {
-    optimize_network_traced(network, options, &mut NullTracer, SpanId::NONE)
+    optimize_network_traced(network, options, &mut NullInstrument, SpanId::NONE)
 }
 
 /// [`optimize_network`] with one `opt.pass.*` span per pass recorded
 /// under `parent`, each nesting its `verify.check_equiv` proof
-/// obligation. With a [`NullTracer`] this is exactly
+/// obligation. With a [`NullInstrument`] this is exactly
 /// [`optimize_network`].
 ///
 /// # Errors
 ///
 /// See [`optimize_network`].
-pub fn optimize_network_traced<T: Tracer>(
+pub fn optimize_network_traced<T: Instrument>(
     network: &Network,
     options: &OptOptions,
     tracer: &mut T,
@@ -462,7 +461,7 @@ pub fn optimize_network_traced<T: Tracer>(
 ///
 /// Currently infallible in practice; see [`optimize_network`].
 pub fn optimize_table(table: &FunctionTable, options: &OptOptions) -> Result<OptOutcome, String> {
-    optimize_table_traced(table, options, &mut NullTracer, SpanId::NONE)
+    optimize_table_traced(table, options, &mut NullInstrument, SpanId::NONE)
 }
 
 /// [`optimize_table`] with per-pass spans; see
@@ -471,7 +470,7 @@ pub fn optimize_table(table: &FunctionTable, options: &OptOptions) -> Result<Opt
 /// # Errors
 ///
 /// See [`optimize_table`].
-pub fn optimize_table_traced<T: Tracer>(
+pub fn optimize_table_traced<T: Instrument>(
     table: &FunctionTable,
     options: &OptOptions,
     tracer: &mut T,
@@ -545,7 +544,7 @@ pub fn optimize_table_traced<T: Tracer>(
 ///
 /// Propagates the per-kind drivers' operational errors.
 pub fn optimize_artifact(artifact: &Artifact, options: &OptOptions) -> Result<OptOutcome, String> {
-    optimize_artifact_traced(artifact, options, &mut NullTracer, SpanId::NONE)
+    optimize_artifact_traced(artifact, options, &mut NullInstrument, SpanId::NONE)
 }
 
 /// [`optimize_artifact`] with per-pass spans; see
@@ -554,7 +553,7 @@ pub fn optimize_artifact(artifact: &Artifact, options: &OptOptions) -> Result<Op
 /// # Errors
 ///
 /// Propagates the per-kind drivers' operational errors.
-pub fn optimize_artifact_traced<T: Tracer>(
+pub fn optimize_artifact_traced<T: Instrument>(
     artifact: &Artifact,
     options: &OptOptions,
     tracer: &mut T,

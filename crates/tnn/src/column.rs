@@ -10,13 +10,13 @@
 //! primitives-only realization (Fig. 12 neurons + the Fig. 15 WTA network)
 //! is available via [`Column::to_network`] and cross-checked in tests.
 
-use st_core::{Time, Volley};
-use st_metrics::{MetricSink, NullMetrics};
+use st_core::{CoreError, Time, Volley};
 use st_net::wta::{k_wta_into, wta_into};
 use st_net::{Network, NetworkBuilder};
 use st_neuron::structural::srm0_into;
 use st_neuron::Srm0Neuron;
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_obs::ObsEvent;
+use st_trace::{Instrument, NullInstrument};
 
 /// The lateral-inhibition policy applied across a column's outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,80 +150,46 @@ impl Column {
         self.apply_inhibition(self.eval_raw(inputs))
     }
 
-    /// [`Column::eval`] with observability: evaluates each neuron through
-    /// [`Srm0Neuron::eval_probed`] (potentials and output spikes,
-    /// attributed by neuron index) and records the column's WTA decision
-    /// ([`ObsEvent::WtaDecision`]) before applying inhibition. With a
-    /// [`st_obs::NullProbe`] this is exactly [`Column::eval`].
+    /// [`Column::eval`] on one row of input times, under an instrument:
+    /// each neuron runs through [`Srm0Neuron::eval_with`] (potentials and
+    /// output spikes, attributed by neuron index, and the `srm0.*`
+    /// counters), the column records its WTA decision
+    /// ([`ObsEvent::WtaDecision`]) before applying inhibition, and counts
+    /// the `tnn.*` counters — volleys evaluated, WTA decisions with a
+    /// winner, and silent (no-spike) decisions. With [`NullInstrument`]
+    /// this is exactly [`Column::eval`]; results are identical for any
+    /// instrument.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the volley width differs from [`Column::input_width`].
-    pub fn eval_probed<P: Probe>(&self, inputs: &Volley, probe: &mut P) -> Volley {
-        self.eval_instrumented(inputs, probe, &mut NullMetrics)
-    }
-
-    /// [`Column::eval`] with a metric sink: accumulates the `tnn.*`
-    /// counters — volleys evaluated, WTA decisions with a winner, and
-    /// silent (no-spike) decisions — on top of the per-neuron `srm0.*`
-    /// counters. With [`NullMetrics`] this compiles to exactly
-    /// [`Column::eval`]; results are identical for any sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volley width differs from [`Column::input_width`].
-    pub fn eval_metered<M: MetricSink>(&self, inputs: &Volley, sink: &mut M) -> Volley {
-        self.eval_instrumented(inputs, &mut NullProbe, sink)
-    }
-
-    /// The fully instrumented evaluator behind [`Column::eval`],
-    /// [`Column::eval_probed`], and [`Column::eval_metered`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volley width differs from [`Column::input_width`].
-    pub fn eval_instrumented<P: Probe, M: MetricSink>(
-        &self,
-        inputs: &Volley,
-        probe: &mut P,
-        sink: &mut M,
-    ) -> Volley {
-        self.eval_times_instrumented(inputs.times(), probe, sink)
-    }
-
-    /// [`Column::eval_instrumented`] on one row of input times, as a
-    /// batch holds them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from [`Column::input_width`].
-    pub fn eval_times_instrumented<P: Probe, M: MetricSink>(
+    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs
+    /// from [`Column::input_width`].
+    pub fn eval_with(
         &self,
         inputs: &[Time],
-        probe: &mut P,
-        sink: &mut M,
-    ) -> Volley {
-        assert_eq!(
-            inputs.len(),
-            self.input_width(),
-            "volley width must match the column's input width"
-        );
-        let metered = sink.is_live();
+        inst: &mut impl Instrument,
+    ) -> Result<Volley, CoreError> {
+        if inputs.len() != self.input_width() {
+            return Err(CoreError::ArityMismatch {
+                expected: self.input_width(),
+                actual: inputs.len(),
+            });
+        }
         let raw: Volley = self
             .neurons
             .iter()
             .enumerate()
-            .map(|(i, n)| n.eval_instrumented(inputs, i, probe, sink))
+            .map(|(i, n)| n.eval_with(inputs, i, inst))
             .collect();
-        if metered {
-            sink.incr("tnn.volleys", 1);
+        if inst.counters_live() {
+            inst.incr("tnn.volleys", 1);
             if raw.first_spike().is_infinite() {
-                sink.incr("tnn.silent_decisions", 1);
+                inst.incr("tnn.silent_decisions", 1);
             } else {
-                sink.incr("tnn.wta_decisions", 1);
+                inst.incr("tnn.wta_decisions", 1);
             }
         }
-        if probe.is_enabled() {
+        if inst.events_live() {
             let first = raw.first_spike();
             let (winner, tied) = if first.is_infinite() {
                 (None, 0)
@@ -233,9 +199,9 @@ impl Column {
                     raw.times().iter().filter(|&&t| t == first).count(),
                 )
             };
-            probe.record(ObsEvent::WtaDecision { winner, tied });
+            inst.record(ObsEvent::WtaDecision { winner, tied });
         }
-        self.apply_inhibition(raw)
+        Ok(self.apply_inhibition(raw))
     }
 
     /// Applies the column's inhibition policy to raw output spike times.
@@ -267,18 +233,10 @@ impl Column {
     ///
     /// Returns [`CoreError::ArityMismatch`] for the first (lowest-index)
     /// volley whose width differs from [`Column::input_width`].
-    pub fn eval_batch(&self, volleys: &[Volley]) -> Result<Vec<Volley>, st_core::CoreError> {
+    pub fn eval_batch(&self, volleys: &[Volley]) -> Result<Vec<Volley>, CoreError> {
         volleys
             .iter()
-            .map(|v| {
-                if v.width() != self.input_width() {
-                    return Err(st_core::CoreError::ArityMismatch {
-                        expected: self.input_width(),
-                        actual: v.width(),
-                    });
-                }
-                Ok(self.eval(v))
-            })
+            .map(|v| self.eval_with(v.times(), &mut NullInstrument))
             .collect()
     }
 
@@ -532,7 +490,10 @@ mod tests {
         let col = two_detector_column(Inhibition::one_wta());
         let input = Volley::encode([Some(0), Some(0), None, None]);
         let mut recorder = Recorder::new();
-        assert_eq!(col.eval_probed(&input, &mut recorder), col.eval(&input));
+        assert_eq!(
+            col.eval_with(input.times(), &mut recorder).unwrap(),
+            col.eval(&input)
+        );
         let decisions: Vec<_> = recorder
             .events()
             .iter()
@@ -553,7 +514,9 @@ mod tests {
 
         // A silent volley records a silent decision.
         let mut recorder = Recorder::new();
-        let out = col.eval_probed(&Volley::silent(4), &mut recorder);
+        let out = col
+            .eval_with(Volley::silent(4).times(), &mut recorder)
+            .unwrap();
         assert_eq!(out, Volley::silent(2));
         assert!(recorder.events().contains(&ObsEvent::WtaDecision {
             winner: None,
@@ -567,7 +530,10 @@ mod tests {
         let col = two_detector_column(Inhibition::one_wta());
         let mut sink = MetricsRegistry::new();
         let input = Volley::encode([Some(0), Some(0), None, None]);
-        assert_eq!(col.eval_metered(&input, &mut sink), col.eval(&input));
+        assert_eq!(
+            col.eval_with(input.times(), &mut sink).unwrap(),
+            col.eval(&input)
+        );
         assert_eq!(sink.counter("tnn.volleys"), 1);
         assert_eq!(sink.counter("tnn.wta_decisions"), 1);
         assert_eq!(sink.counter("tnn.silent_decisions"), 0);
@@ -575,9 +541,27 @@ mod tests {
         assert_eq!(sink.counter("srm0.evals"), 2);
         // A silent volley counts as a silent decision.
         let silent = Volley::silent(4);
-        assert_eq!(col.eval_metered(&silent, &mut sink), col.eval(&silent));
+        assert_eq!(
+            col.eval_with(silent.times(), &mut sink).unwrap(),
+            col.eval(&silent)
+        );
         assert_eq!(sink.counter("tnn.volleys"), 2);
         assert_eq!(sink.counter("tnn.silent_decisions"), 1);
+    }
+
+    #[test]
+    fn a_wrong_width_row_is_an_arity_error_not_a_panic() {
+        let col = two_detector_column(Inhibition::one_wta());
+        for width in [3, 5] {
+            let row = vec![Time::ZERO; width];
+            assert_eq!(
+                col.eval_with(&row, &mut NullInstrument),
+                Err(CoreError::ArityMismatch {
+                    expected: 4,
+                    actual: width
+                })
+            );
+        }
     }
 
     #[test]

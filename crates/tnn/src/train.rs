@@ -8,9 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use st_metrics::{MetricSink, NullMetrics};
 use st_neuron::{ResponseFn, Srm0Neuron, Synapse};
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_obs::ObsEvent;
+use st_trace::{Instrument, NullInstrument};
 
 use crate::column::{Column, Inhibition};
 use crate::data::LabelledVolley;
@@ -112,46 +112,23 @@ pub fn train_column(
     stream: &[LabelledVolley],
     config: &TrainConfig,
 ) -> TrainReport {
-    train_column_probed(column, stream, config, &mut NullProbe)
+    train_column_with(column, stream, config, &mut NullInstrument)
 }
 
-/// [`train_column`] with observability: marks each presentation with
-/// [`ObsEvent::VolleyStart`], records the WTA outcome of every volley
-/// ([`ObsEvent::WtaDecision`], silent decisions included) and one
-/// [`ObsEvent::WeightDelta`] per synapse weight an STDP (or rescue) update
-/// actually changed. With a [`NullProbe`] this is exactly [`train_column`]
-/// — the probe never perturbs the RNG, so trained weights are identical.
-pub fn train_column_probed<P: Probe>(
+/// [`train_column`] under an instrument. The events mark each
+/// presentation ([`ObsEvent::VolleyStart`]), record the WTA outcome of
+/// every volley ([`ObsEvent::WtaDecision`], silent decisions included) and
+/// one [`ObsEvent::WeightDelta`] per synapse weight an STDP (or rescue)
+/// update actually changed; the counters are the `stdp.*` counts —
+/// presentations, winner STDP updates, individual weight deltas, and
+/// homeostatic rescues. With [`NullInstrument`] this is exactly
+/// [`train_column`] — the instrument never touches the RNG, so trained
+/// weights are identical.
+pub fn train_column_with(
     column: &mut Column,
     stream: &[LabelledVolley],
     config: &TrainConfig,
-    probe: &mut P,
-) -> TrainReport {
-    train_column_instrumented(column, stream, config, probe, &mut NullMetrics)
-}
-
-/// [`train_column`] with a metric sink: accumulates the `stdp.*` counters
-/// — presentations, winner STDP updates, individual weight deltas, and
-/// homeostatic rescues. With [`NullMetrics`] this compiles to exactly
-/// [`train_column`] — the sink never touches the RNG, so trained weights
-/// are identical.
-pub fn train_column_metered<M: MetricSink>(
-    column: &mut Column,
-    stream: &[LabelledVolley],
-    config: &TrainConfig,
-    sink: &mut M,
-) -> TrainReport {
-    train_column_instrumented(column, stream, config, &mut NullProbe, sink)
-}
-
-/// The fully instrumented trainer behind [`train_column`],
-/// [`train_column_probed`], and [`train_column_metered`].
-pub fn train_column_instrumented<P: Probe, M: MetricSink>(
-    column: &mut Column,
-    stream: &[LabelledVolley],
-    config: &TrainConfig,
-    probe: &mut P,
-    sink: &mut M,
+    inst: &mut impl Instrument,
 ) -> TrainReport {
     let params = &config.stdp;
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
@@ -163,22 +140,22 @@ pub fn train_column_instrumented<P: Probe, M: MetricSink>(
         weight_changes: 0,
     };
     for (index, sample) in stream.iter().enumerate() {
-        if probe.is_enabled() {
-            probe.record(ObsEvent::VolleyStart { index });
+        if inst.events_live() {
+            inst.record(ObsEvent::VolleyStart { index });
         }
         report.presentations += 1;
         let tied = column.tied_winners(&sample.volley);
         if tied.is_empty() {
-            if probe.is_enabled() {
-                probe.record(ObsEvent::WtaDecision {
+            if inst.events_live() {
+                inst.record(ObsEvent::WtaDecision {
                     winner: None,
                     tied: 0,
                 });
             }
             if config.rescue {
                 let before = report.weight_changes;
-                rescue_update(column, &sample.volley, params, &mut report, probe);
-                if sink.is_live() && report.weight_changes > before {
+                rescue_update(column, &sample.volley, params, &mut report, inst);
+                if inst.counters_live() && report.weight_changes > before {
                     rescues += 1;
                 }
             }
@@ -193,8 +170,8 @@ pub fn train_column_instrumented<P: Probe, M: MetricSink>(
             continue;
         }
         let winner = tied[rng.random_range(0..tied.len())];
-        if probe.is_enabled() {
-            probe.record(ObsEvent::WtaDecision {
+        if inst.events_live() {
+            inst.record(ObsEvent::WtaDecision {
                 winner: Some(winner),
                 tied: tied.len(),
             });
@@ -202,13 +179,13 @@ pub fn train_column_instrumented<P: Probe, M: MetricSink>(
         let output = column.neurons()[winner].eval(sample.volley.times());
         report.updates += 1;
         report.wins[winner] += 1;
-        report.weight_changes += stdp_probed(
+        report.weight_changes += stdp_update(
             &mut column.neurons_mut()[winner],
             winner,
             &sample.volley,
             output,
             params,
-            probe,
+            inst,
         );
         if config.adapt_threshold {
             let neuron = &mut column.neurons_mut()[winner];
@@ -216,36 +193,36 @@ pub fn train_column_instrumented<P: Probe, M: MetricSink>(
             neuron.set_threshold(theta + 1);
         }
     }
-    if sink.is_live() {
-        sink.incr("stdp.presentations", report.presentations as u64);
-        sink.incr("stdp.updates", report.updates as u64);
-        sink.incr("stdp.weight_deltas", report.weight_changes as u64);
-        sink.incr("stdp.rescues", rescues);
+    if inst.counters_live() {
+        inst.incr("stdp.presentations", report.presentations as u64);
+        inst.incr("stdp.updates", report.updates as u64);
+        inst.incr("stdp.weight_deltas", report.weight_changes as u64);
+        inst.incr("stdp.rescues", rescues);
     }
     report
 }
 
 /// Applies STDP to one neuron, emitting a [`ObsEvent::WeightDelta`] per
-/// synapse whose weight actually moved. Snapshots weights only when the
-/// probe is live, so the unprobed path stays allocation-free.
-fn stdp_probed<P: Probe>(
+/// synapse whose weight actually moved. Snapshots weights only when
+/// events are live, so the plain path stays allocation-free.
+fn stdp_update(
     neuron: &mut Srm0Neuron,
     index: usize,
     volley: &st_core::Volley,
     output: st_core::Time,
     params: &StdpParams,
-    probe: &mut P,
+    inst: &mut impl Instrument,
 ) -> usize {
-    let before: Vec<i32> = if probe.is_enabled() {
+    let before: Vec<i32> = if inst.events_live() {
         neuron.synapses().iter().map(|s| s.weight).collect()
     } else {
         Vec::new()
     };
     let changes = apply_stdp(neuron, volley, output, params);
-    if probe.is_enabled() {
+    if inst.events_live() {
         for (synapse, (&b, s)) in before.iter().zip(neuron.synapses()).enumerate() {
             if b != s.weight {
-                probe.record(ObsEvent::WeightDelta {
+                inst.record(ObsEvent::WeightDelta {
                     neuron: index,
                     synapse,
                     before: b,
@@ -259,12 +236,12 @@ fn stdp_probed<P: Probe>(
 
 /// Potentiation-only update for the best-matching neuron of a volley on
 /// which nothing fired.
-fn rescue_update<P: Probe>(
+fn rescue_update(
     column: &mut Column,
     volley: &st_core::Volley,
     params: &StdpParams,
     report: &mut TrainReport,
-    probe: &mut P,
+    inst: &mut impl Instrument,
 ) {
     let pseudo_output = volley.last_spike();
     if pseudo_output.is_infinite() {
@@ -280,13 +257,13 @@ fn rescue_update<P: Probe>(
             a_minus: 0,
             ..*params
         };
-        report.weight_changes += stdp_probed(
+        report.weight_changes += stdp_update(
             &mut column.neurons_mut()[best],
             best,
             volley,
             pseudo_output,
             &potentiate_only,
-            probe,
+            inst,
         );
     }
 }
@@ -410,7 +387,7 @@ mod tests {
 
         let mut probed = fresh_column(3, 12, 0.25, &config);
         let mut recorder = Recorder::new();
-        let probed_report = train_column_probed(&mut probed, &stream, &config, &mut recorder);
+        let probed_report = train_column_with(&mut probed, &stream, &config, &mut recorder);
 
         // The probe never perturbs training.
         assert_eq!(probed_report, plain_report);
@@ -451,7 +428,7 @@ mod tests {
 
         let mut metered = fresh_column(3, 12, 0.25, &config);
         let mut sink = MetricsRegistry::new();
-        let metered_report = train_column_metered(&mut metered, &stream, &config, &mut sink);
+        let metered_report = train_column_with(&mut metered, &stream, &config, &mut sink);
 
         // The sink never perturbs training (RNG untouched).
         assert_eq!(metered_report, plain_report);

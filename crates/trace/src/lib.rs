@@ -1,20 +1,26 @@
-//! `st-trace`: a zero-overhead hierarchical span profiler for the
-//! space-time workspace — causal timelines, flamegraph export, and the
-//! self-time attribution behind `spacetime profile`.
+//! `st-trace`: the workspace's one instrumentation hook surface,
+//! [`Instrument`], and the hierarchical span profiler behind
+//! `spacetime profile` — causal timelines, flamegraph export, self-time
+//! attribution.
 //!
 //! Everything the paper computes is a *when* (§ III volley coding makes
-//! spike timing the value itself), yet `st-obs` events and `st-metrics`
-//! counters only say *what* happened and *how much*. This crate answers
-//! **where wall-clock time goes**: compile → lint → optimize (with the
-//! verifier's proof obligations inside each pass) → plan build → batch
-//! and kernel evaluation, as one tree of timed spans.
+//! spike timing the value itself). An engine run is observed three ways:
+//! `st-obs` events say *what* happened (gate firings, wire falls, WTA
+//! decisions), `st-metrics` counters say *how much* (including the § VI
+//! transition-count energy proxy), and this crate's spans say **where
+//! wall-clock time goes**: compile → lint → optimize (with the verifier's
+//! proof obligations inside each pass) → plan build → batch and kernel
+//! evaluation, as one tree of timed spans. All three reach an engine
+//! through one parameter, `&mut impl Instrument`, whose three hook groups
+//! are each guarded by a liveness check (see [`instrument`]).
 //!
-//! The design requirements match the other two observability layers:
+//! The design requirements:
 //!
-//! 1. **Zero overhead when off.** [`NullTracer`] is a dead sink with
-//!    `#[inline(always)]` constant methods; monomorphized engine code
-//!    with a dead tracer is bit-identical to the untraced code (the
-//!    workspace property suite pins this).
+//! 1. **Zero overhead when off.** Every hook defaults to an
+//!    `#[inline(always)]` no-op, and [`NullInstrument`] keeps them all;
+//!    monomorphized engine code with a dead instrument is the
+//!    uninstrumented code, and the workspace property suite pins
+//!    instrumented and plain runs bit-identical.
 //! 2. **Causal across threads.** Spans carry explicit parent
 //!    [`SpanId`]s, so batch chunks and kernel packets recorded in
 //!    per-worker [`TraceBuffer`]s nest under the dispatching stage span
@@ -42,7 +48,7 @@
 //! # Example
 //!
 //! ```
-//! use st_trace::{collapsed_stacks, SpanId, TraceBuffer, Tracer};
+//! use st_trace::{collapsed_stacks, Instrument, SpanId, TraceBuffer};
 //!
 //! let mut trace = TraceBuffer::new();
 //! {
@@ -53,11 +59,21 @@
 //! assert!(collapsed_stacks(&records).contains("compile;plan.build"));
 //! ```
 
+pub mod instrument;
 mod render;
 mod span;
+
+pub use instrument::{Instrument, NullInstrument, SpanGuard};
 
 pub use render::{
     chrome_spans, collapsed_stacks, self_times, span_counts, spans_jsonl, top_rows, top_table,
     well_formed, TopRow,
 };
-pub use span::{NullTracer, SpanGuard, SpanId, SpanRecord, TraceBuffer, TraceMark, Tracer, OPEN};
+pub use span::{SpanId, SpanRecord, TraceBuffer, TraceMark, OPEN};
+
+/// [`Instrument`] under its old name, kept for `benchmark/`, which
+/// writes `T: Tracer` bounds. New code names [`Instrument`].
+pub use instrument::Instrument as Tracer;
+/// [`NullInstrument`] under its old name, kept for `benchmark/`. New
+/// code names [`NullInstrument`].
+pub use instrument::NullInstrument as NullTracer;

@@ -1,39 +1,35 @@
-//! The [`Tracer`] trait, its two canonical implementations, and the RAII
-//! [`SpanGuard`].
+//! Span identity, records and the collecting [`TraceBuffer`]: the spans
+//! group of [`Instrument`].
 //!
-//! The contract mirrors `st_obs::Probe` and `st_metrics::MetricSink`:
-//! engines take a `&mut T where T: Tracer` parameter on their `*_traced`
-//! entry points, the default implementation ([`NullTracer`]) is a dead
-//! sink whose methods are `#[inline(always)]` constants, and the
-//! workspace property suite pins traced and plain runs bit-identical.
-//!
-//! What is *new* relative to probes and metrics is hierarchy and
-//! parallelism: spans carry explicit parent [`SpanId`]s, so a caller can
-//! open a span, hand its id across a `std::thread::scope` boundary, and
-//! have every worker's `batch.chunk` and `kernel.packet` span nest under
-//! the dispatching stage span even though the workers append into
-//! private per-thread buffers. After join, the calling thread
-//! [`absorb`](Tracer::absorb)s the worker buffers in worker order —
-//! the same determinism discipline the metrics registry uses.
+//! Spans carry explicit parent [`SpanId`]s, so a caller can open a span,
+//! hand its id across a `std::thread::scope` boundary, and have every
+//! worker's `batch.chunk` and `kernel.packet` span nest under the
+//! dispatching stage span even though the workers append into private
+//! per-thread buffers. After join, the calling thread
+//! [`absorb`](Instrument::absorb)s the worker buffers in worker order —
+//! the same determinism discipline the batch engine keeps for counters.
 
 use std::time::Instant;
+
+use crate::instrument::Instrument;
 
 /// Sentinel `end_nanos` for a span that has not closed yet.
 pub const OPEN: u64 = u64::MAX;
 
 /// Bits reserved for per-buffer sequence numbers; each spawned worker
 /// buffer allocates ids in its own `namespace << ID_NAMESPACE_BITS`
-/// range, so ids stay unique after [`Tracer::absorb`] without any
+/// range, so ids stay unique after [`Instrument::absorb`] without any
 /// cross-thread coordination.
 const ID_NAMESPACE_BITS: u32 = 40;
 
 /// Identifier of one recorded span. `SpanId::NONE` (zero) means "no
-/// span": it is what [`NullTracer`] mints and what roots use as parent.
+/// span": it is what a dead instrument mints and what roots use as
+/// parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SpanId(u64);
 
 impl SpanId {
-    /// The absent span: root parents and everything a [`NullTracer`]
+    /// The absent span: root parents and everything a dead instrument
     /// returns.
     pub const NONE: SpanId = SpanId(0);
 
@@ -97,148 +93,12 @@ impl SpanRecord {
     }
 }
 
-/// Restore point for [`Tracer::truncate`]: everything recorded after the
-/// mark is discarded, upholding the "failed batches record nothing"
-/// contract the probe and metrics layers already follow.
+/// Restore point for [`Instrument::truncate`]: everything recorded after
+/// the mark is discarded, so failed batches record nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceMark {
     own: usize,
     absorbed: usize,
-}
-
-/// A sink for hierarchical spans.
-///
-/// Implementors decide what to do with each span; engines promise never
-/// to let the tracer influence their results (the equivalence property
-/// suite pins traced and plain runs bit-identical). Unlike
-/// [`Probe::record`](../../st_obs/probe/trait.Probe.html), the begin/end
-/// methods may be called unconditionally — on [`NullTracer`] they inline
-/// to nothing — but hot loops (per-packet spans) still guard on
-/// [`Tracer::is_enabled`] to skip even the argument construction.
-pub trait Tracer {
-    /// The buffer type handed to scoped workers. For [`NullTracer`]
-    /// this is `NullTracer` itself, so a dead tracer spawns dead
-    /// workers and the parallel path stays zero-overhead.
-    type Worker: Tracer + Send + 'static;
-
-    /// Whether this tracer wants spans at all.
-    fn is_enabled(&self) -> bool;
-
-    /// Opens a span named `name` under `parent` (or as a root when
-    /// `parent` is [`SpanId::NONE`]) and returns its id.
-    fn begin(&mut self, name: &'static str, parent: SpanId) -> SpanId;
-
-    /// Closes the span `id` opened by this tracer. Ending
-    /// [`SpanId::NONE`] is a no-op.
-    fn end(&mut self, id: SpanId);
-
-    /// Mints a private buffer for scoped worker `tid` (worker index +
-    /// 1; tid 0 is the calling thread). The worker shares this buffer's
-    /// clock origin and gets a fresh id namespace, so records merge
-    /// without renumbering.
-    fn worker(&mut self, tid: u32) -> Self::Worker;
-
-    /// Folds a worker buffer back in. Callers absorb post-join in
-    /// worker order, keeping merged output deterministic up to
-    /// timestamps.
-    fn absorb(&mut self, worker: Self::Worker);
-
-    /// A restore point for [`Tracer::truncate`].
-    fn mark(&self) -> TraceMark;
-
-    /// Discards every span recorded after `mark`. Batch engines call
-    /// this on error so failed batches record nothing.
-    fn truncate(&mut self, mark: TraceMark);
-
-    /// Opens a span and returns an RAII [`SpanGuard`] that closes it on
-    /// drop. Nested spans are opened through [`SpanGuard::child`] or by
-    /// passing [`SpanGuard::id`] as an explicit parent.
-    fn span(&mut self, name: &'static str, parent: SpanId) -> SpanGuard<'_, Self>
-    where
-        Self: Sized,
-    {
-        let id = self.begin(name, parent);
-        SpanGuard { tracer: self, id }
-    }
-}
-
-/// The zero-overhead default tracer: disabled, records nothing, mints
-/// [`SpanId::NONE`], and spawns more of itself for workers.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    type Worker = NullTracer;
-
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn begin(&mut self, _name: &'static str, _parent: SpanId) -> SpanId {
-        SpanId::NONE
-    }
-
-    #[inline(always)]
-    fn end(&mut self, _id: SpanId) {}
-
-    #[inline(always)]
-    fn worker(&mut self, _tid: u32) -> NullTracer {
-        NullTracer
-    }
-
-    #[inline(always)]
-    fn absorb(&mut self, _worker: NullTracer) {}
-
-    #[inline(always)]
-    fn mark(&self) -> TraceMark {
-        TraceMark::default()
-    }
-
-    #[inline(always)]
-    fn truncate(&mut self, _mark: TraceMark) {}
-}
-
-/// RAII guard returned by [`Tracer::span`]: holds the tracer borrow for
-/// the span's extent and closes the span on drop, so a span cannot leak
-/// open past its lexical scope.
-#[derive(Debug)]
-pub struct SpanGuard<'a, T: Tracer> {
-    tracer: &'a mut T,
-    id: SpanId,
-}
-
-impl<T: Tracer> SpanGuard<'_, T> {
-    /// The guarded span's id — pass this as the explicit parent when
-    /// spans must cross a function or thread boundary.
-    #[must_use]
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    /// The underlying tracer, for calls that need it while the span is
-    /// open (e.g. handing worker buffers out).
-    pub fn tracer(&mut self) -> &mut T {
-        self.tracer
-    }
-
-    /// Opens a child span under this one, returning its guard. The
-    /// child borrows through this guard, so it must close first —
-    /// the borrow checker enforces proper nesting.
-    pub fn child(&mut self, name: &'static str) -> SpanGuard<'_, T> {
-        let id = self.tracer.begin(name, self.id);
-        SpanGuard {
-            tracer: self.tracer,
-            id,
-        }
-    }
-}
-
-impl<T: Tracer> Drop for SpanGuard<'_, T> {
-    fn drop(&mut self) {
-        self.tracer.end(self.id);
-    }
 }
 
 /// The concrete collector: a per-thread append-only span buffer with
@@ -327,11 +187,11 @@ impl Default for TraceBuffer {
     }
 }
 
-impl Tracer for TraceBuffer {
+impl Instrument for TraceBuffer {
     type Worker = TraceBuffer;
 
     #[inline]
-    fn is_enabled(&self) -> bool {
+    fn spans_live(&self) -> bool {
         true
     }
 
@@ -355,13 +215,14 @@ impl Tracer for TraceBuffer {
         if id.is_none() {
             return;
         }
-        let seq = id.0 - self.namespace - 1;
         let end_nanos = self.now();
-        let record = usize::try_from(seq)
-            .ok()
+        let record = (id.0 - 1)
+            .checked_sub(self.namespace)
+            .and_then(|seq| usize::try_from(seq).ok())
             .and_then(|seq| self.own.get_mut(seq));
         // Out-of-range ids are ignored: a span opened after a mark may
-        // have been truncated away before its guard dropped.
+        // have been truncated away before its guard dropped, and an id
+        // from another buffer's namespace is not ours to close.
         if let Some(record) = record {
             debug_assert_eq!(record.id, id, "span id {id:?} not from this buffer");
             debug_assert!(!record.is_closed(), "span {id:?} ended twice");
@@ -403,8 +264,8 @@ mod tests {
 
     #[test]
     fn null_tracer_is_disabled_and_free() {
-        let mut t = NullTracer;
-        assert!(!t.is_enabled());
+        let mut t = crate::NullInstrument;
+        assert!(!t.spans_live());
         let id = t.begin("compile", SpanId::NONE);
         assert!(id.is_none());
         t.end(id);
@@ -487,5 +348,19 @@ mod tests {
         let records = buffer.into_records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].name, "compile");
+    }
+
+    #[test]
+    fn ending_another_buffers_id_is_ignored() {
+        let mut root = TraceBuffer::new();
+        let kept = root.begin("batch.eval", SpanId::NONE);
+        // A worker's namespace starts above every root id, so a root id
+        // lies below it and must not wrap around.
+        let mut worker = root.worker(1);
+        worker.end(kept);
+        worker.end(SpanId::from_raw(1));
+        assert!(worker.is_empty());
+        root.end(kept);
+        assert!(root.records()[0].is_closed());
     }
 }

@@ -11,7 +11,7 @@
 use core::fmt;
 
 use st_core::{enumerate_inputs, Time};
-use st_trace::{NullTracer, SpanId, Tracer};
+use st_trace::{Instrument, NullInstrument, SpanId};
 
 use crate::eval::Evaluator;
 
@@ -133,18 +133,18 @@ pub fn check_equiv(
     right: &dyn Evaluator,
     window: u64,
 ) -> Result<EquivResult, String> {
-    check_equiv_traced(left, right, window, &mut NullTracer, SpanId::NONE)
+    check_equiv_traced(left, right, window, &mut NullInstrument, SpanId::NONE)
 }
 
 /// [`check_equiv`] with one `verify.window` span recorded under `parent`
 /// per enumerated extent, so profiles show how proof cost grows with
-/// temporal extent. With a [`NullTracer`] this is exactly
+/// temporal extent. With a [`NullInstrument`] this is exactly
 /// [`check_equiv`].
 ///
 /// # Errors
 ///
 /// Exactly the operational failures [`check_equiv`] reports.
-pub fn check_equiv_traced<T: Tracer>(
+pub fn check_equiv_traced<T: Instrument>(
     left: &dyn Evaluator,
     right: &dyn Evaluator,
     window: u64,

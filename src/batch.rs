@@ -18,10 +18,12 @@
 //! [`VolleyBatch`] — one row-major array of same-width volleys — into
 //! contiguous chunks of rows, one per worker thread (`std::thread::scope`,
 //! no dependencies), and evaluates each chunk against the shared artifact
-//! straight into the matching rows of one preallocated output batch. The
-//! `&[Volley]` entry points ([`BatchEvaluator::eval`] and its probed,
-//! metered and traced forms) stage their volleys as a batch and call the
-//! same loop.
+//! straight into the matching rows of one preallocated output batch.
+//! [`BatchEvaluator::eval_with`] runs that loop under one
+//! [`Instrument`], which sees timing events, engine counters and chunk
+//! spans at once; [`BatchEvaluator::eval_batch`] runs it uninstrumented.
+//! The `&[Volley]` entry point [`BatchEvaluator::eval`] stages its volleys
+//! as a batch and calls the same loop.
 //!
 //! Results are **bit-identical to the sequential engines** regardless of
 //! thread count — each output is a pure function of one input volley, so
@@ -55,12 +57,12 @@ use std::time::Instant;
 use st_core::{lane, CompiledTable, CoreError, FunctionTable, Time, Volley, VolleyBatch};
 use st_grl::{compile_network, GrlNetlist, GrlSim};
 use st_kernel::{PacketStats, Plan, Scratch};
-use st_metrics::{MetricSink, MetricsRegistry, NullMetrics};
+use st_metrics::MetricsRegistry;
 use st_net::synth::{synthesize, SynthesisOptions};
 use st_net::{CompiledNetwork, EventSim, Network};
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_obs::ObsEvent;
 use st_tnn::Column;
-use st_trace::{NullTracer, SpanId, Tracer};
+use st_trace::{Instrument, NullInstrument, SpanId};
 use st_verify::{Artifact, Kind};
 
 /// The five evaluation engines, one per [`CompiledArtifact`] form.
@@ -178,8 +180,7 @@ impl CompiledArtifact {
         CompiledArtifact::Network(EventSim::new().compile(network))
     }
 
-    /// Lowers a network to a GRL netlist (see
-    /// [`compile_network`](st_grl::compile_network)).
+    /// Lowers a network to a GRL netlist (see [`compile_network`]).
     ///
     /// # Panics
     ///
@@ -228,7 +229,7 @@ impl CompiledArtifact {
     /// [`Engine::cannot_run`] for any other pairing, or the GRL lowering
     /// error for a gate with no CMOS mapping.
     pub fn select(engine: Engine, artifact: &Artifact) -> Result<CompiledArtifact, String> {
-        CompiledArtifact::select_traced(engine, artifact, &mut NullTracer, SpanId::NONE)
+        CompiledArtifact::select_traced(engine, artifact, &mut NullInstrument, SpanId::NONE)
     }
 
     /// [`CompiledArtifact::select`] with the kernel engine's plan build
@@ -237,10 +238,10 @@ impl CompiledArtifact {
     /// # Errors
     ///
     /// As [`CompiledArtifact::select`].
-    pub fn select_traced<T: Tracer>(
+    pub fn select_traced(
         engine: Engine,
         artifact: &Artifact,
-        tracer: &mut T,
+        tracer: &mut impl Instrument,
         parent: SpanId,
     ) -> Result<CompiledArtifact, String> {
         let synthesized;
@@ -293,59 +294,51 @@ impl CompiledArtifact {
     /// Returns [`CoreError::ArityMismatch`] if the volley's width differs
     /// from [`CompiledArtifact::input_width`].
     pub fn eval_one(&self, volley: &Volley) -> Result<Volley, CoreError> {
-        self.eval_one_metered(volley, &mut NullMetrics)
+        self.eval_one_with(volley, &mut NullInstrument)
     }
 
-    /// [`CompiledArtifact::eval_one`] with a metric sink: routes to the
-    /// engine's metered entry point (`net.*`, `grl.*`, `srm0.*`/`tnn.*`
-    /// counters) or, for function tables, counts `table.lookups`. With
-    /// [`NullMetrics`] this compiles to exactly
-    /// [`CompiledArtifact::eval_one`]; results are identical for any sink.
+    /// [`CompiledArtifact::eval_one`] under an instrument: routes to the
+    /// engine's `*_with` entry point (its events and its `net.*`,
+    /// `grl.*`, `kernel.*` or `srm0.*`/`tnn.*` counters) or, for function
+    /// tables, counts `table.lookups`. With [`NullInstrument`] this
+    /// compiles to exactly [`CompiledArtifact::eval_one`]; results are
+    /// identical for any instrument.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ArityMismatch`] if the volley's width differs
     /// from [`CompiledArtifact::input_width`].
-    pub fn eval_one_metered<M: MetricSink>(
+    pub fn eval_one_with(
         &self,
         volley: &Volley,
-        sink: &mut M,
+        inst: &mut impl Instrument,
     ) -> Result<Volley, CoreError> {
         let mut out = vec![Time::INFINITY; self.output_width()];
-        self.eval_row(volley.times(), &mut out, sink)?;
+        self.eval_row(volley.times(), &mut out, inst)?;
         Ok(Volley::new(out))
     }
 
     /// Evaluates one row of input times into `out`, one
     /// [`CompiledArtifact::output_width`]-wide output row.
-    fn eval_row<M: MetricSink>(
+    fn eval_row(
         &self,
         row: &[Time],
         out: &mut [Time],
-        sink: &mut M,
+        inst: &mut impl Instrument,
     ) -> Result<(), CoreError> {
         match self {
             CompiledArtifact::Table(t) => {
                 out[0] = t.eval(row)?;
-                if sink.is_live() {
-                    sink.incr("table.lookups", 1);
+                if inst.counters_live() {
+                    inst.incr("table.lookups", 1);
                 }
             }
-            CompiledArtifact::Network(n) => out.copy_from_slice(&n.run_metered(row, sink)?.outputs),
-            CompiledArtifact::Column(c) => {
-                if row.len() != c.input_width() {
-                    return Err(CoreError::ArityMismatch {
-                        expected: c.input_width(),
-                        actual: row.len(),
-                    });
-                }
-                let outputs = c.eval_times_instrumented(row, &mut NullProbe, sink);
-                out.copy_from_slice(outputs.times());
-            }
+            CompiledArtifact::Network(n) => out.copy_from_slice(&n.run_with(row, inst)?.outputs),
+            CompiledArtifact::Column(c) => out.copy_from_slice(c.eval_with(row, inst)?.times()),
             CompiledArtifact::Grl(g) => {
-                out.copy_from_slice(&GrlSim::new().run_metered(g, row, sink)?.outputs);
+                out.copy_from_slice(&GrlSim::new().run_with(g, row, inst)?.outputs);
             }
-            CompiledArtifact::Kernel(p) => out.copy_from_slice(&p.eval_metered(row, sink)?),
+            CompiledArtifact::Kernel(p) => out.copy_from_slice(&p.eval_with(row, inst)?),
         }
         Ok(())
     }
@@ -461,15 +454,7 @@ impl BatchEvaluator {
         input: &VolleyBatch,
     ) -> Result<VolleyBatch, BatchError> {
         let mut out = VolleyBatch::default();
-        self.eval_instrumented(
-            artifact,
-            input,
-            &mut out,
-            &mut NullProbe,
-            &mut NullMetrics,
-            &mut NullTracer,
-            SpanId::NONE,
-        )?;
+        self.eval_with(artifact, input, &mut out, &mut NullInstrument, SpanId::NONE)?;
         Ok(out)
     }
 
@@ -487,119 +472,37 @@ impl BatchEvaluator {
         artifact: &CompiledArtifact,
         volleys: &[Volley],
     ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_probed(artifact, volleys, &mut NullProbe)
+        self.eval_volleys(artifact, volleys, &mut NullInstrument)
     }
 
-    /// [`BatchEvaluator::eval`] with observability: on success records one
-    /// [`ObsEvent::VolleyTimed`] per volley (wall-clock latency and output
-    /// spike count), one [`ObsEvent::ChunkTiming`] per worker, and a
-    /// closing `"eval"` [`ObsEvent::StageTiming`]. Workers collect their
-    /// timings locally and the calling thread records them after the join
-    /// (volleys in index order, chunks in worker order), so the event
-    /// stream — like the outputs — is deterministic for a given run.
-    ///
-    /// Timestamps are captured only when the probe is live; with a
-    /// [`NullProbe`] this is exactly [`BatchEvaluator::eval`].
+    /// [`BatchEvaluator::eval`] counting into a [`MetricsRegistry`], kept
+    /// for `benchmark/`. New code calls [`BatchEvaluator::eval_with`].
     ///
     /// # Errors
     ///
-    /// Returns the lowest-index [`BatchError`] if any volley fails; no
-    /// timing events are recorded for a failed batch.
-    pub fn eval_probed<P: Probe>(
+    /// As [`BatchEvaluator::eval`]; a failed batch records no metrics.
+    pub fn eval_metered(
         &self,
         artifact: &CompiledArtifact,
         volleys: &[Volley],
-        probe: &mut P,
+        sink: &mut MetricsRegistry,
     ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_volleys(
-            artifact,
-            volleys,
-            probe,
-            &mut NullMetrics,
-            &mut NullTracer,
-            SpanId::NONE,
-        )
+        self.eval_volleys(artifact, volleys, sink)
     }
 
-    /// [`BatchEvaluator::eval`] with a metric sink: on success absorbs the
-    /// per-volley engine counters (those of
-    /// [`CompiledArtifact::eval_one_metered`]) plus the `batch.*` metrics —
-    /// `batch.volleys` / `batch.chunks` counters and the
-    /// `batch.volley_nanos` / `batch.chunk_nanos` wall-clock histograms.
-    /// Workers aggregate into private registries which the calling thread
-    /// absorbs post-join in worker order, so engine counters are identical
-    /// for every thread count. A failed batch records no metrics.
-    ///
-    /// With [`NullMetrics`] this is exactly [`BatchEvaluator::eval`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`BatchError`] if any volley fails.
-    pub fn eval_metered<M: MetricSink>(
-        &self,
-        artifact: &CompiledArtifact,
-        volleys: &[Volley],
-        sink: &mut M,
-    ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_volleys(
-            artifact,
-            volleys,
-            &mut NullProbe,
-            sink,
-            &mut NullTracer,
-            SpanId::NONE,
-        )
-    }
-
-    /// [`BatchEvaluator::eval`] with hierarchical spans: records one
-    /// `batch.chunk` span per worker (and, on the SWAR fast path, one
-    /// `kernel.packet` span per packet under its chunk), all parented to
-    /// `parent` — the dispatching stage span whose id the caller carries
-    /// across the `std::thread::scope` boundary. Workers append into
-    /// private per-thread buffers minted by [`Tracer::worker`]; the
-    /// calling thread absorbs them post-join in worker order.
-    ///
-    /// With a [`NullTracer`] this is exactly [`BatchEvaluator::eval`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`BatchError`] if any volley fails; a
-    /// failed batch records no spans (the trace is truncated back to its
-    /// state at entry).
-    pub fn eval_traced<T: Tracer>(
-        &self,
-        artifact: &CompiledArtifact,
-        volleys: &[Volley],
-        tracer: &mut T,
-        parent: SpanId,
-    ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_volleys(
-            artifact,
-            volleys,
-            &mut NullProbe,
-            &mut NullMetrics,
-            tracer,
-            parent,
-        )
-    }
-
-    /// The `&[Volley]` adapter behind [`BatchEvaluator::eval`] and its
-    /// probed, metered and traced forms: stages the volleys as a
-    /// [`VolleyBatch`], runs [`BatchEvaluator::eval_instrumented`], and
-    /// splits the output batch back into volleys.
+    /// The `&[Volley]` adapter behind [`BatchEvaluator::eval`]: stages the
+    /// volleys as a [`VolleyBatch`], runs [`BatchEvaluator::eval_with`],
+    /// and splits the output batch back into volleys.
     ///
     /// A batch holds one width, so the volleys before the first
     /// wrong-width one are staged alone. A failure among them has the
     /// lower index and wins; otherwise the wrong-width volley is the
     /// error. Either way the failed batch records nothing.
-    fn eval_volleys<P: Probe, M: MetricSink, T: Tracer>(
+    fn eval_volleys(
         &self,
         artifact: &CompiledArtifact,
         volleys: &[Volley],
-        probe: &mut P,
-        sink: &mut M,
-        tracer: &mut T,
-        parent: SpanId,
+        inst: &mut impl Instrument,
     ) -> Result<Vec<Volley>, BatchError> {
         let width = artifact.input_width();
         let rows = volleys
@@ -616,56 +519,62 @@ impl BatchEvaluator {
         });
         let mut out = VolleyBatch::default();
         if let Some(error) = ragged {
-            self.eval_instrumented(
+            self.eval_with(
                 artifact,
                 &input,
                 &mut out,
-                &mut NullProbe,
-                &mut NullMetrics,
-                &mut NullTracer,
+                &mut NullInstrument,
                 SpanId::NONE,
             )?;
             return Err(error);
         }
-        self.eval_instrumented(artifact, &input, &mut out, probe, sink, tracer, parent)?;
+        self.eval_with(artifact, &input, &mut out, inst, SpanId::NONE)?;
         Ok(out.to_volleys())
     }
 
     /// The one evaluation loop behind every entry point: evaluates each
     /// row of `input` into the matching row of `out`, which is reset to
-    /// `input.len()` rows of [`CompiledArtifact::output_width`].
+    /// `input.len()` rows of [`CompiledArtifact::output_width`], under
+    /// one instrument.
     ///
     /// A kernel artifact whose batch fits its lane bound (an O(1) check of
     /// the batch's recorded maximum) takes the eight-rows-per-packet SWAR
     /// path; every other batch runs each engine's row evaluator.
     ///
-    /// On success records one [`ObsEvent::VolleyTimed`] per volley, one
-    /// [`ObsEvent::ChunkTiming`] per worker and a closing `"eval"`
-    /// [`ObsEvent::StageTiming`]; the engine counters plus `batch.volleys`,
-    /// `batch.chunks` and the `batch.volley_nanos`/`batch.chunk_nanos`
-    /// histograms; and one `batch.chunk` span per worker (with one
-    /// `kernel.packet` span per packet on the SWAR path) under `parent`.
-    /// Workers collect into private buffers and registries that the
-    /// calling thread merges post-join in worker order, so events,
-    /// counters and spans are deterministic for a given run. Timestamps
-    /// are captured only when the probe, the sink, or the tracer is live;
-    /// with [`NullProbe`], [`NullMetrics`], and [`NullTracer`] this is
-    /// exactly [`BatchEvaluator::eval_batch`].
+    /// On success the instrument gets, per live group:
+    /// - events: one [`ObsEvent::VolleyTimed`] per volley (wall-clock
+    ///   latency and output spike count), one [`ObsEvent::ChunkTiming`]
+    ///   per worker and a closing `"eval"` [`ObsEvent::StageTiming`];
+    /// - counters: the engine counters of
+    ///   [`CompiledArtifact::eval_one_with`] (the `kernel.*` packet counts
+    ///   on the SWAR path) plus `batch.volleys`, `batch.chunks` and the
+    ///   `batch.volley_nanos`/`batch.chunk_nanos` histograms;
+    /// - spans: one `batch.chunk` span per worker (with one
+    ///   `kernel.packet` span per packet on the SWAR path) under
+    ///   `parent`, the dispatching stage span whose id the caller carries
+    ///   across the `std::thread::scope` boundary.
+    ///
+    /// Workers count into private registries and record spans into the
+    /// private instruments minted by [`Instrument::worker`]; the calling
+    /// thread merges them post-join in worker order and records the
+    /// timing events after the join (volleys in index order, chunks in
+    /// worker order), so events, counters and spans are deterministic for
+    /// a given run, and engine counters identical at every thread count.
+    /// Timestamps are captured only when some group is live; with
+    /// [`NullInstrument`] this is exactly [`BatchEvaluator::eval_batch`].
     ///
     /// # Errors
     ///
     /// Returns the lowest-index [`BatchError`] (see
     /// [`BatchEvaluator::eval_batch`]) and leaves `out` empty; no timing
-    /// events, metrics, or spans are recorded for a failed batch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_instrumented<P: Probe, M: MetricSink, T: Tracer>(
+    /// events, metrics, or spans are recorded for a failed batch (spans
+    /// are truncated back to their state at entry).
+    pub fn eval_with(
         &self,
         artifact: &CompiledArtifact,
         input: &VolleyBatch,
         out: &mut VolleyBatch,
-        probe: &mut P,
-        sink: &mut M,
-        tracer: &mut T,
+        inst: &mut impl Instrument,
         parent: SpanId,
     ) -> Result<(), BatchError> {
         let width = artifact.input_width();
@@ -684,11 +593,11 @@ impl BatchEvaluator {
                     if !input.is_empty() && plan.lane_capable_batch(input) =>
                 {
                     let runner = Packets { plan, input };
-                    self.fan_out(&runner, out, probe, sink, tracer, parent)
+                    self.fan_out(&runner, out, inst, parent)
                 }
                 _ => {
                     let runner = Rows { artifact, input };
-                    self.fan_out(&runner, out, probe, sink, tracer, parent)
+                    self.fan_out(&runner, out, inst, parent)
                 }
             }
         };
@@ -703,20 +612,18 @@ impl BatchEvaluator {
     /// (multiples of [`ChunkRunner::ALIGN`] rows), runs `runner` on each —
     /// inline for one worker, on scoped threads otherwise — and, once the
     /// whole batch has succeeded, records the timings, metrics and spans
-    /// [`BatchEvaluator::eval_instrumented`] describes.
-    fn fan_out<R: ChunkRunner, P: Probe, M: MetricSink, T: Tracer>(
+    /// [`BatchEvaluator::eval_with`] describes.
+    fn fan_out<R: ChunkRunner, I: Instrument>(
         &self,
         runner: &R,
         out: &mut VolleyBatch,
-        probe: &mut P,
-        sink: &mut M,
-        tracer: &mut T,
+        inst: &mut I,
         parent: SpanId,
     ) -> Result<(), BatchError> {
-        let enabled = probe.is_enabled();
-        let metered = sink.is_live();
-        let timed = enabled || metered || tracer.is_enabled();
-        let trace_mark = tracer.mark();
+        let enabled = inst.events_live();
+        let metered = inst.counters_live();
+        let timed = enabled || metered || inst.spans_live();
+        let trace_mark = inst.mark();
         let stage_start = Instant::now(); // cheap; read only when timed
         let (rows, out_width) = (out.len(), out.width());
         let units = rows.div_ceil(R::ALIGN);
@@ -724,18 +631,9 @@ impl BatchEvaluator {
         let mut chunks: Vec<Chunk> = Vec::with_capacity(workers);
 
         if workers == 1 {
-            let chunk_span = tracer.begin("batch.chunk", parent);
-            let mut registry = metered.then(MetricsRegistry::new);
-            let result = runner.run(
-                0,
-                rows,
-                out.times_mut(),
-                registry.as_mut(),
-                timed,
-                tracer,
-                chunk_span,
-            );
-            tracer.end(chunk_span);
+            let mut chunk = ChunkInst::open(inst, metered, parent);
+            let result = runner.run(0, rows, out.times_mut(), timed, &mut chunk);
+            let registry = chunk.close();
             match result {
                 Ok(timings) => chunks.push(Chunk {
                     worker: 0,
@@ -751,7 +649,7 @@ impl BatchEvaluator {
                     registry,
                 }),
                 Err(error) => {
-                    tracer.truncate(trace_mark);
+                    inst.truncate(trace_mark);
                     return Err(error);
                 }
             }
@@ -764,21 +662,12 @@ impl BatchEvaluator {
                 {
                     // The chunk span's parent is the dispatching stage span,
                     // carried across the scope boundary by explicit id.
-                    let mut wtracer = tracer.worker(w as u32 + 1);
+                    let mut winst = inst.worker(w as u32 + 1);
                     handles.push(scope.spawn(move || {
                         let chunk_start = timed.then(Instant::now);
-                        let chunk_span = wtracer.begin("batch.chunk", parent);
-                        let mut registry = metered.then(MetricsRegistry::new);
-                        let result = runner.run(
-                            base,
-                            len,
-                            out_chunk,
-                            registry.as_mut(),
-                            timed,
-                            &mut wtracer,
-                            chunk_span,
-                        );
-                        wtracer.end(chunk_span);
+                        let mut chunk = ChunkInst::open(&mut winst, metered, parent);
+                        let result = runner.run(base, len, out_chunk, timed, &mut chunk);
+                        let registry = chunk.close();
                         let (start_nanos, nanos) = chunk_start.map_or((0, 0), |t0| {
                             (
                                 (t0 - stage_start).as_nanos() as u64,
@@ -794,7 +683,7 @@ impl BatchEvaluator {
                             timings,
                             registry,
                         });
-                        (chunk, wtracer)
+                        (chunk, winst)
                     }));
                 }
                 // Joining in worker order keeps the merge below
@@ -802,8 +691,8 @@ impl BatchEvaluator {
                 // stops at its first failure; the lowest index wins.
                 let mut failure: Option<BatchError> = None;
                 for handle in handles {
-                    let (chunk, wtracer) = handle.join().expect("batch worker panicked");
-                    tracer.absorb(wtracer);
+                    let (chunk, winst) = handle.join().expect("batch worker panicked");
+                    inst.absorb(winst);
                     match chunk {
                         Ok(chunk) => chunks.push(chunk),
                         Err(e) => {
@@ -818,7 +707,7 @@ impl BatchEvaluator {
             });
             if let Some(error) = failure {
                 // The whole batch fails, so its spans are truncated away.
-                tracer.truncate(trace_mark);
+                inst.truncate(trace_mark);
                 return Err(error);
             }
         }
@@ -843,18 +732,18 @@ impl BatchEvaluator {
             for chunk in &chunks {
                 merged.observe("batch.chunk_nanos", chunk.nanos);
             }
-            sink.absorb(&merged);
+            inst.merge_counters(&merged);
         }
         if enabled {
             for (index, nanos, spikes) in timings() {
-                probe.record(ObsEvent::VolleyTimed {
+                inst.record(ObsEvent::VolleyTimed {
                     index,
                     nanos,
                     spikes,
                 });
             }
             for chunk in &chunks {
-                probe.record(ObsEvent::ChunkTiming {
+                inst.record(ObsEvent::ChunkTiming {
                     worker: chunk.worker,
                     start: chunk.base,
                     len: chunk.len,
@@ -862,7 +751,7 @@ impl BatchEvaluator {
                     nanos: chunk.nanos,
                 });
             }
-            probe.record(ObsEvent::StageTiming {
+            inst.record(ObsEvent::StageTiming {
                 stage: "eval",
                 start_nanos: 0,
                 nanos: stage_start.elapsed().as_nanos() as u64,
@@ -886,6 +775,35 @@ struct Chunk {
     registry: Option<MetricsRegistry>,
 }
 
+/// What one chunk records into: its engine counters, kept apart until
+/// the whole batch has succeeded, and its spans, recorded under its
+/// `batch.chunk` span straight into `spans` (the caller's instrument
+/// inline, the worker's on a scoped thread).
+struct ChunkInst<'a, S> {
+    counters: Option<MetricsRegistry>,
+    spans: &'a mut S,
+    span: SpanId,
+}
+
+impl<'a, S: Instrument> ChunkInst<'a, S> {
+    /// Opens the chunk's `batch.chunk` span under `parent`, with a
+    /// private registry when counters are live.
+    fn open(spans: &'a mut S, metered: bool, parent: SpanId) -> ChunkInst<'a, S> {
+        let span = spans.begin("batch.chunk", parent);
+        ChunkInst {
+            counters: metered.then(MetricsRegistry::new),
+            spans,
+            span,
+        }
+    }
+
+    /// Closes the chunk span and hands back the chunk's counters.
+    fn close(self) -> Option<MetricsRegistry> {
+        self.spans.end(self.span);
+        self.counters
+    }
+}
+
 /// One evaluation strategy for [`BatchEvaluator::fan_out`]: evaluates a
 /// contiguous chunk of input rows into the matching output rows.
 trait ChunkRunner: Sync {
@@ -893,18 +811,15 @@ trait ChunkRunner: Sync {
     const ALIGN: usize;
 
     /// Evaluates rows `base..base + len` into `out` (their output rows),
-    /// adding engine counters to `registry` when there is one and, when
-    /// `timed`, returning one [`Timing`] per row.
-    #[allow(clippy::too_many_arguments)]
-    fn run<TR: Tracer>(
+    /// recording into `chunk` and, when `timed`, returning one [`Timing`]
+    /// per row.
+    fn run<S: Instrument>(
         &self,
         base: usize,
         len: usize,
         out: &mut [Time],
-        registry: Option<&mut MetricsRegistry>,
         timed: bool,
-        tracer: &mut TR,
-        chunk_span: SpanId,
+        chunk: &mut ChunkInst<'_, S>,
     ) -> Result<Vec<Timing>, BatchError>;
 }
 
@@ -917,15 +832,13 @@ struct Rows<'a> {
 impl ChunkRunner for Rows<'_> {
     const ALIGN: usize = 1;
 
-    fn run<TR: Tracer>(
+    fn run<S: Instrument>(
         &self,
         base: usize,
         len: usize,
         out: &mut [Time],
-        mut registry: Option<&mut MetricsRegistry>,
         timed: bool,
-        _tracer: &mut TR,
-        _chunk_span: SpanId,
+        chunk: &mut ChunkInst<'_, S>,
     ) -> Result<Vec<Timing>, BatchError> {
         let mut timings = Vec::with_capacity(if timed { len } else { 0 });
         let out_width = self.artifact.output_width();
@@ -933,9 +846,9 @@ impl ChunkRunner for Rows<'_> {
             let index = base + offset;
             let t0 = timed.then(Instant::now);
             let row = self.input.row(index);
-            match registry.as_deref_mut() {
+            match chunk.counters.as_mut() {
                 Some(registry) => self.artifact.eval_row(row, slot, registry),
-                None => self.artifact.eval_row(row, slot, &mut NullMetrics),
+                None => self.artifact.eval_row(row, slot, &mut NullInstrument),
             }
             .map_err(|source| BatchError { index, source })?;
             if let Some(t0) = t0 {
@@ -961,17 +874,15 @@ struct Packets<'a> {
 impl ChunkRunner for Packets<'_> {
     const ALIGN: usize = lane::LANES;
 
-    fn run<TR: Tracer>(
+    fn run<S: Instrument>(
         &self,
         base: usize,
         len: usize,
         out: &mut [Time],
-        registry: Option<&mut MetricsRegistry>,
         timed: bool,
-        tracer: &mut TR,
-        chunk_span: SpanId,
+        chunk: &mut ChunkInst<'_, S>,
     ) -> Result<Vec<Timing>, BatchError> {
-        let traced = tracer.is_enabled();
+        let traced = chunk.spans.spans_live();
         let out_width = self.plan.output_width();
         let mut scratch = Scratch::default();
         let mut stats = PacketStats::default();
@@ -980,7 +891,7 @@ impl ChunkRunner for Packets<'_> {
             let first = base + start;
             let t0 = timed.then(Instant::now);
             let packet_span = if traced {
-                tracer.begin("kernel.packet", chunk_span)
+                chunk.spans.begin("kernel.packet", chunk.span)
             } else {
                 SpanId::NONE
             };
@@ -991,7 +902,7 @@ impl ChunkRunner for Packets<'_> {
                 out_packet,
             ));
             if traced {
-                tracer.end(packet_span);
+                chunk.spans.end(packet_span);
             }
             if let Some(t0) = t0 {
                 let share = t0.elapsed().as_nanos() as u64 / members as u64;
@@ -1000,7 +911,7 @@ impl ChunkRunner for Packets<'_> {
                 }
             }
         }
-        if let Some(registry) = registry {
+        if let Some(registry) = &mut chunk.counters {
             registry.incr("kernel.packets", len.div_ceil(lane::LANES) as u64);
             registry.incr("kernel.gates_swar", stats.gates_swar);
             registry.incr("kernel.gates_skipped", stats.gates_skipped);
@@ -1114,7 +1025,7 @@ mod tests {
         for threads in [1, 3] {
             let mut recorder = Recorder::new();
             let got = BatchEvaluator::with_threads(threads)
-                .eval_probed(&artifact, &volleys, &mut recorder)
+                .eval_volleys(&artifact, &volleys, &mut recorder)
                 .unwrap();
             assert_eq!(got, expected, "threads = {threads}");
             let timed: Vec<usize> = recorder
@@ -1154,7 +1065,7 @@ mod tests {
         bad[2] = Volley::silent(1);
         let mut recorder = Recorder::new();
         assert!(BatchEvaluator::with_threads(2)
-            .eval_probed(&artifact, &bad, &mut recorder)
+            .eval_volleys(&artifact, &bad, &mut recorder)
             .is_err());
         assert!(recorder.is_empty());
     }
@@ -1170,7 +1081,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let mut sink = MetricsRegistry::new();
             let got = BatchEvaluator::with_threads(threads)
-                .eval_metered(&artifact, &volleys, &mut sink)
+                .eval_volleys(&artifact, &volleys, &mut sink)
                 .unwrap();
             assert_eq!(got, expected, "threads = {threads}");
             assert_eq!(sink.counter("batch.volleys"), volleys.len() as u64);
@@ -1218,7 +1129,7 @@ mod tests {
         for threads in [1, 4] {
             let mut sink = MetricsRegistry::new();
             assert!(BatchEvaluator::with_threads(threads)
-                .eval_metered(&artifact, &bad, &mut sink)
+                .eval_volleys(&artifact, &bad, &mut sink)
                 .is_err());
             assert!(sink.is_empty(), "threads = {threads}");
         }
@@ -1300,15 +1211,7 @@ mod tests {
             let mut registry = MetricsRegistry::new();
             let mut out = VolleyBatch::default();
             evaluator
-                .eval_instrumented(
-                    &kernel,
-                    &input,
-                    &mut out,
-                    &mut NullProbe,
-                    &mut registry,
-                    &mut NullTracer,
-                    SpanId::NONE,
-                )
+                .eval_with(&kernel, &input, &mut out, &mut registry, SpanId::NONE)
                 .unwrap();
             assert_eq!(out, evaluator.eval_batch(&net, &input).unwrap());
             assert_eq!(registry.counter("kernel.packets"), 0);
@@ -1371,7 +1274,7 @@ mod tests {
             for threads in [1, 2] {
                 let mut recorder = Recorder::new();
                 let err = BatchEvaluator::with_threads(threads)
-                    .eval_probed(&grl, &volleys, &mut recorder)
+                    .eval_volleys(&grl, &volleys, &mut recorder)
                     .unwrap_err();
                 assert_eq!((err.index, &err.source), (1, &want));
                 assert!(recorder.is_empty());

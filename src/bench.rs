@@ -20,10 +20,9 @@ use st_metrics::{
 };
 use st_net::sorting::sorting_network;
 use st_net::{Network, NetworkBuilder};
-use st_obs::NullProbe;
 use st_opt::{optimize_network, OptOptions, OptOutcome};
 use st_tnn::train::{fresh_column, TrainConfig};
-use st_trace::{NullTracer, SpanId};
+use st_trace::SpanId;
 
 use crate::batch::{BatchEvaluator, CompiledArtifact};
 
@@ -300,13 +299,11 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<Scenario, String> {
     for _ in 0..iterations {
         let start = Instant::now();
         evaluator
-            .eval_instrumented(
+            .eval_with(
                 &artifact,
                 &volleys,
                 &mut outputs,
-                &mut NullProbe,
                 &mut registry,
-                &mut NullTracer,
                 SpanId::NONE,
             )
             .map_err(|e| format!("{}: evaluation failed: {e}", spec.name()))?;

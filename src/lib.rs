@@ -16,10 +16,10 @@
 //! | [`lint`] | `st-lint` | static diagnostics over all representations |
 //! | [`verify`] | `st-verify` | boundedness certificates + bounded equivalence |
 //! | [`opt`] | `st-opt` | dataflow analyses + verified optimization passes |
-//! | [`obs`] | `st-obs` | probes, event traces, rasters, run statistics |
+//! | [`obs`] | `st-obs` | event recording, rasters, run statistics |
 //! | [`insight`] | `st-insight` | provenance queries, run diffing, volley analytics |
 //! | [`metrics`] | `st-metrics` | counters, histograms, Prometheus, bench reports |
-//! | [`trace`] | `st-trace` | hierarchical spans, flamegraphs, Chrome timelines |
+//! | [`trace`] | `st-trace` | the one `Instrument` hook surface, spans, flamegraphs |
 //! | [`batch`] | (this crate) | compile-once / evaluate-many parallel engine |
 //!
 //! The package also ships the `spacetime` CLI (`src/main.rs`); run

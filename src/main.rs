@@ -963,8 +963,8 @@ fn default_sweep(width: usize) -> VolleyBatch {
 }
 
 /// Runs a volley batch through a [`TraceForm`] sequentially, marking
-/// each volley and collecting the probed model-time events.
-fn record_probed(
+/// each volley and recording its model-time events.
+fn record_events(
     form: &TraceForm,
     volleys: &VolleyBatch,
     recorder: &mut spacetime::obs::Recorder,
@@ -974,27 +974,18 @@ fn record_probed(
         match form {
             TraceForm::Net(compiled) => {
                 compiled
-                    .run_probed(volley, recorder)
+                    .run_with(volley, recorder)
                     .map_err(|e| format!("volley {index}: {e}"))?;
             }
             TraceForm::Grl(netlist) => {
                 GrlSim::new()
-                    .run_probed(netlist, volley, recorder)
+                    .run_with(netlist, volley, recorder)
                     .map_err(|e| format!("volley {index}: {e}"))?;
             }
             TraceForm::Column(column) => {
-                if volley.len() != column.input_width() {
-                    return Err(format!(
-                        "volley {index}: column expects width {}, got {}",
-                        column.input_width(),
-                        volley.len()
-                    ));
-                }
-                column.eval_times_instrumented(
-                    volley,
-                    recorder,
-                    &mut spacetime::metrics::NullMetrics,
-                );
+                column
+                    .eval_with(volley, recorder)
+                    .map_err(|e| format!("volley {index}: {e}"))?;
             }
         }
     }
@@ -1053,13 +1044,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         use spacetime::metrics::{MetricsRegistry, MetricsSnapshot};
         let mut registry = MetricsRegistry::new();
         evaluator
-            .eval_instrumented(
+            .eval_with(
                 &compiled,
                 &volleys,
                 &mut VolleyBatch::default(),
-                &mut spacetime::obs::NullProbe,
                 &mut registry,
-                &mut spacetime::trace::NullTracer,
                 spacetime::trace::SpanId::NONE,
             )
             .map_err(|e| format!("{path}: {e}"))?;
@@ -1072,21 +1061,19 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         return emit(out.as_deref(), rendered, Some(&summary));
     }
 
-    // Pass 1 — model-time events: one marked, probed sequential run per
+    // Pass 1 — model-time events: one marked, recorded sequential run per
     // volley (gate firings / wire falls / potentials / WTA decisions).
     let mut recorder = Recorder::new();
-    record_probed(&form, &volleys, &mut recorder)?;
+    record_events(&form, &volleys, &mut recorder)?;
 
     // Pass 2 — wall-clock timing: the batch engine appends per-volley,
     // per-chunk, and stage timings to the same stream.
     evaluator
-        .eval_instrumented(
+        .eval_with(
             &compiled,
             &volleys,
             &mut VolleyBatch::default(),
             &mut recorder,
-            &mut spacetime::metrics::NullMetrics,
-            &mut spacetime::trace::NullTracer,
             spacetime::trace::SpanId::NONE,
         )
         .map_err(|e| format!("{path}: {e}"))?;
@@ -1124,7 +1111,7 @@ fn parse_why(spec: &str) -> Result<(usize, Time), String> {
     Ok((gate, at))
 }
 
-/// Records a probed event-simulation run of `network` over `volleys`
+/// Records an event-simulation run of `network` over `volleys`
 /// into an indexed spike database.
 fn record_net_run(
     network: &Network,
@@ -1132,7 +1119,7 @@ fn record_net_run(
 ) -> Result<spacetime::insight::SpikeDb, String> {
     let mut recorder = spacetime::obs::Recorder::new();
     let form = TraceForm::Net(EventSim::new().compile(network));
-    record_probed(&form, volleys, &mut recorder)?;
+    record_events(&form, volleys, &mut recorder)?;
     Ok(spacetime::insight::SpikeDb::from_events_with_dropped(
         recorder.events(),
         recorder.dropped(),
@@ -1416,7 +1403,7 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
             let engine = engine.unwrap_or_else(|| Engine::native(artifact.kind()));
             let form = TraceForm::new(engine, &artifact)?;
             let mut recorder = spacetime::obs::Recorder::new();
-            record_probed(&form, &volleys, &mut recorder)?;
+            record_events(&form, &volleys, &mut recorder)?;
             SpikeDb::from_events_with_dropped(recorder.events(), recorder.dropped())
         }
     };
@@ -1451,7 +1438,7 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     use spacetime::trace::{
-        chrome_spans, collapsed_stacks, spans_jsonl, top_table, SpanId, TraceBuffer, Tracer,
+        chrome_spans, collapsed_stacks, spans_jsonl, top_table, Instrument, SpanId, TraceBuffer,
     };
 
     let mut path = None;
@@ -1534,12 +1521,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let eval_span = tracer.begin("batch.eval", SpanId::NONE);
     threads
         .map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads)
-        .eval_instrumented(
+        .eval_with(
             &compiled,
             &volleys,
             &mut VolleyBatch::default(),
-            &mut spacetime::obs::NullProbe,
-            &mut spacetime::metrics::NullMetrics,
             &mut tracer,
             eval_span,
         )

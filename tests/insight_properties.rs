@@ -74,7 +74,7 @@ fn record_db(network: &Network, volleys: &[Vec<Time>]) -> SpikeDb {
     let mut recorder = Recorder::new();
     for (index, volley) in volleys.iter().enumerate() {
         recorder.begin_volley(index);
-        compiled.run_probed(volley, &mut recorder).expect("run");
+        compiled.run_with(volley, &mut recorder).expect("run");
     }
     SpikeDb::from_events_with_dropped(recorder.events(), recorder.dropped())
 }

@@ -1,15 +1,16 @@
 //! Differential battery for the SWAR kernel engine: on random artifacts
 //! and random volleys, `kernel ≡ net ≡ grl ≡ table` bit-for-bit at 1, 2,
-//! and 7 worker threads; the metered and probed entry points are
+//! and 7 worker threads; the entry points under a live instrument are
 //! observationally identical to the plain ones; and the deterministic
 //! `kernel.*` counters never depend on the thread count.
 
 mod common;
 
 use common::arbitrary::{arb_neuron, arb_volley};
+use common::eval_with;
 use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
-use spacetime::core::{FunctionTable, Time, Volley};
+use spacetime::core::{FunctionTable, Time, Volley, VolleyBatch};
 use spacetime::grl::compile_network;
 use spacetime::kernel::Plan;
 use spacetime::metrics::MetricsRegistry;
@@ -17,6 +18,7 @@ use spacetime::net::synth::{synthesize, SynthesisOptions};
 use spacetime::net::NetworkBuilder;
 use spacetime::neuron::structural::srm0_network;
 use spacetime::obs::{ObsEvent, Recorder};
+use spacetime::trace::SpanId;
 
 fn to_volleys(raw: &[Vec<Time>], width: usize) -> Vec<Volley> {
     raw.iter()
@@ -148,7 +150,7 @@ proptest! {
             let evaluator = BatchEvaluator::with_threads(threads);
 
             let mut sink = MetricsRegistry::new();
-            let metered = evaluator.eval_metered(&artifact, &volleys, &mut sink).unwrap();
+            let metered = eval_with(&evaluator, &artifact, &volleys, &mut sink, SpanId::NONE).unwrap();
             prop_assert_eq!(&metered, &plain, "metered, {} threads", threads);
             prop_assert_eq!(sink.counter("batch.volleys"), volleys.len() as u64);
             prop_assert_eq!(
@@ -168,7 +170,7 @@ proptest! {
             }
 
             let mut recorder = Recorder::new();
-            let probed = evaluator.eval_probed(&artifact, &volleys, &mut recorder).unwrap();
+            let probed = eval_with(&evaluator, &artifact, &volleys, &mut recorder, SpanId::NONE).unwrap();
             prop_assert_eq!(&probed, &plain, "probed, {} threads", threads);
             let timed: Vec<usize> = recorder
                 .events()
@@ -199,11 +201,11 @@ proptest! {
         let plan = Plan::from_network(&network);
         let plain = plan.eval(inputs).unwrap();
         let mut sink = MetricsRegistry::new();
-        prop_assert_eq!(&plan.eval_metered(inputs, &mut sink).unwrap(), &plain);
+        prop_assert_eq!(&plan.eval_with(inputs, &mut sink).unwrap(), &plain);
         prop_assert_eq!(sink.counter("kernel.volleys"), 1);
         prop_assert_eq!(sink.counter("kernel.gates"), plan.gate_count() as u64);
         let mut recorder = Recorder::new();
-        prop_assert_eq!(&plan.eval_probed(inputs, &mut recorder).unwrap(), &plain);
+        prop_assert_eq!(&plan.eval_with(inputs, &mut recorder).unwrap(), &plain);
         // Every recorded firing is a finite-valued gate in plan order.
         let mut last = None;
         for event in recorder.events() {
@@ -242,11 +244,13 @@ fn kernel_error_reports_lowest_index() {
     // A failed batch records no metrics and no events.
     let mut sink = MetricsRegistry::new();
     let mut recorder = Recorder::new();
+    let narrow = VolleyBatch::from_fn(1, 12, |_, _| t(1));
+    let mut out = VolleyBatch::default();
     assert!(BatchEvaluator::with_threads(2)
-        .eval_metered(&artifact, &volleys, &mut sink)
+        .eval_with(&artifact, &narrow, &mut out, &mut sink, SpanId::NONE)
         .is_err());
     assert!(BatchEvaluator::with_threads(2)
-        .eval_probed(&artifact, &volleys, &mut recorder)
+        .eval_with(&artifact, &narrow, &mut out, &mut recorder, SpanId::NONE)
         .is_err());
     assert!(sink.is_empty());
     assert!(recorder.is_empty());
@@ -323,12 +327,10 @@ fn lane_budget_boundary_is_exact() {
 
     // The lane batch really took the packet path, the other didn't.
     let mut sink = MetricsRegistry::new();
-    evaluator.eval_metered(&kernel, &inside, &mut sink).unwrap();
+    eval_with(&evaluator, &kernel, &inside, &mut sink, SpanId::NONE).unwrap();
     assert_eq!(sink.counter("kernel.packets"), 2);
     let mut sink = MetricsRegistry::new();
-    evaluator
-        .eval_metered(&kernel, &outside, &mut sink)
-        .unwrap();
+    eval_with(&evaluator, &kernel, &outside, &mut sink, SpanId::NONE).unwrap();
     assert_eq!(sink.counter("kernel.packets"), 0);
     assert_eq!(sink.counter("kernel.volleys"), 2);
 }

@@ -1,12 +1,15 @@
 //! Observability equivalence properties: instrumenting any engine with a
-//! live [`Recorder`] produces **bit-identical outputs** to the uninstrumented
-//! ([`NullProbe`]) run — across all four engines and at 1 and N batch worker
-//! threads. This is the zero-perturbation contract of `st-obs`: a probe may
+//! live [`Recorder`], [`MetricsRegistry`] or [`TraceBuffer`] — or with one
+//! collector that is all three at once — produces **bit-identical
+//! outputs** to the uninstrumented (`NullInstrument`) run, across every
+//! engine and at 1 and N batch worker threads. This is the
+//! zero-perturbation contract of `st_trace::Instrument`: an instrument may
 //! watch a computation, never steer it.
 
 mod common;
 
 use common::arbitrary::{arb_neuron, arb_volley};
+use common::eval_with;
 use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::Volley;
@@ -16,8 +19,9 @@ use spacetime::neuron::structural::srm0_network;
 use spacetime::neuron::Srm0Neuron;
 use spacetime::obs::{ObsEvent, Recorder};
 use spacetime::tnn::data::PatternDataset;
-use spacetime::tnn::train::{fresh_column, train_column, train_column_probed, TrainConfig};
+use spacetime::tnn::train::{fresh_column, train_column, train_column_with, TrainConfig};
 use spacetime::tnn::{Column, Inhibition};
+use spacetime::trace::SpanId;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -35,7 +39,7 @@ proptest! {
         let compiled = EventSim::new().compile(&srm0_network(&neuron));
         let plain = compiled.run(inputs).unwrap();
         let mut recorder = Recorder::new();
-        let probed = compiled.run_probed(inputs, &mut recorder).unwrap();
+        let probed = compiled.run_with(inputs, &mut recorder).unwrap();
         prop_assert_eq!(&probed, &plain);
         prop_assert_eq!(recorder.len(), plain.total_events);
     }
@@ -53,7 +57,7 @@ proptest! {
         let sim = GrlSim::new();
         let plain = sim.run(&netlist, inputs).unwrap();
         let mut recorder = Recorder::new();
-        let probed = sim.run_probed(&netlist, inputs, &mut recorder).unwrap();
+        let probed = sim.run_with(&netlist, inputs, &mut recorder).unwrap();
         prop_assert_eq!(&probed, &plain);
         let falls = recorder
             .events()
@@ -74,7 +78,7 @@ proptest! {
         let inputs = &inputs[..width];
         let plain = neuron.eval(inputs);
         let mut recorder = Recorder::new();
-        let probed = neuron.eval_probed(inputs, 0, &mut recorder);
+        let probed = neuron.eval_with(inputs, 0, &mut recorder);
         prop_assert_eq!(probed, plain);
         let spiked = recorder.events().iter().any(ObsEvent::is_spike);
         prop_assert_eq!(spiked, plain.is_finite());
@@ -99,7 +103,7 @@ proptest! {
         let volley = Volley::new(inputs[..width].to_vec());
         let plain = column.eval(&volley);
         let mut recorder = Recorder::new();
-        let probed = column.eval_probed(&volley, &mut recorder);
+        let probed = column.eval_with(volley.times(), &mut recorder).unwrap();
         prop_assert_eq!(probed, plain);
         // Exactly one WTA decision per evaluation.
         let decisions = recorder
@@ -133,9 +137,14 @@ proptest! {
                 .unwrap();
             for workers in [1, threads] {
                 let mut recorder = Recorder::new();
-                let probed = BatchEvaluator::with_threads(workers)
-                    .eval_probed(&artifact, &volleys, &mut recorder)
-                    .unwrap();
+                let probed = eval_with(
+                    &BatchEvaluator::with_threads(workers),
+                    &artifact,
+                    &volleys,
+                    &mut recorder,
+                    SpanId::NONE,
+                )
+                .unwrap();
                 prop_assert_eq!(&probed, &plain, "workers = {}", workers);
                 let timed = recorder
                     .events()
@@ -166,7 +175,7 @@ fn probed_training_is_bit_identical() {
 
         let mut probed = fresh_column(3, 16, 0.25, &config);
         let mut recorder = Recorder::new();
-        let probed_report = train_column_probed(&mut probed, &stream, &config, &mut recorder);
+        let probed_report = train_column_with(&mut probed, &stream, &config, &mut recorder);
 
         assert_eq!(probed_report, plain_report, "seed {seed}");
         for (a, b) in plain.neurons().iter().zip(probed.neurons()) {
@@ -192,7 +201,6 @@ fn probed_training_is_bit_identical() {
 // invariant).
 
 use spacetime::metrics::MetricsRegistry;
-use spacetime::tnn::train::train_column_metered;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -209,7 +217,7 @@ proptest! {
         let compiled = EventSim::new().compile(&srm0_network(&neuron));
         let plain = compiled.run(inputs).unwrap();
         let mut registry = MetricsRegistry::new();
-        let metered = compiled.run_metered(inputs, &mut registry).unwrap();
+        let metered = compiled.run_with(inputs, &mut registry).unwrap();
         prop_assert_eq!(&metered, &plain);
         prop_assert_eq!(registry.counter("net.runs"), 1);
         prop_assert_eq!(registry.counter("net.gate_firings"), plain.total_events as u64);
@@ -228,7 +236,7 @@ proptest! {
         let sim = GrlSim::new();
         let plain = sim.run(&netlist, inputs).unwrap();
         let mut registry = MetricsRegistry::new();
-        let metered = sim.run_metered(&netlist, inputs, &mut registry).unwrap();
+        let metered = sim.run_with(&netlist, inputs, &mut registry).unwrap();
         prop_assert_eq!(&metered, &plain);
         prop_assert_eq!(
             registry.counter("grl.wire_transitions"),
@@ -247,7 +255,7 @@ proptest! {
         let inputs = &inputs[..width];
         let plain = neuron.eval(inputs);
         let mut registry = MetricsRegistry::new();
-        let metered = neuron.eval_metered(inputs, &mut registry);
+        let metered = neuron.eval_with(inputs, 0, &mut registry);
         prop_assert_eq!(metered, plain);
         prop_assert_eq!(registry.counter("srm0.spikes"), u64::from(plain.is_finite()));
     }
@@ -272,7 +280,7 @@ proptest! {
         let volley = Volley::new(inputs[..width].to_vec());
         let plain = column.eval(&volley);
         let mut registry = MetricsRegistry::new();
-        let metered = column.eval_metered(&volley, &mut registry);
+        let metered = column.eval_with(volley.times(), &mut registry).unwrap();
         prop_assert_eq!(metered, plain);
         prop_assert_eq!(
             registry.counter("tnn.wta_decisions") + registry.counter("tnn.silent_decisions"),
@@ -306,9 +314,14 @@ proptest! {
             let mut baseline: Option<Vec<(&'static str, u64)>> = None;
             for workers in [1, threads] {
                 let mut registry = MetricsRegistry::new();
-                let metered = BatchEvaluator::with_threads(workers)
-                    .eval_metered(&artifact, &volleys, &mut registry)
-                    .unwrap();
+                let metered = eval_with(
+                    &BatchEvaluator::with_threads(workers),
+                    &artifact,
+                    &volleys,
+                    &mut registry,
+                    SpanId::NONE,
+                )
+                .unwrap();
                 prop_assert_eq!(&metered, &plain, "workers = {}", workers);
                 prop_assert_eq!(registry.counter("batch.volleys"), volleys.len() as u64);
                 let counters: Vec<(&'static str, u64)> = registry
@@ -333,7 +346,7 @@ proptest! {
 // except the chunking-dependent `batch.chunk` — is identical at every thread
 // count.
 
-use spacetime::trace::{span_counts, well_formed, SpanId, TraceBuffer, Tracer};
+use spacetime::trace::{span_counts, well_formed, Instrument, TraceBuffer};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -367,9 +380,14 @@ proptest! {
             for workers in [1, threads] {
                 let mut tracer = TraceBuffer::new();
                 let stage = tracer.begin("batch.eval", SpanId::NONE);
-                let traced = BatchEvaluator::with_threads(workers)
-                    .eval_traced(&artifact, &volleys, &mut tracer, stage)
-                    .unwrap();
+                let traced = eval_with(
+                    &BatchEvaluator::with_threads(workers),
+                    &artifact,
+                    &volleys,
+                    &mut tracer,
+                    stage,
+                )
+                .unwrap();
                 tracer.end(stage);
                 prop_assert_eq!(&traced, &plain, "workers = {}", workers);
 
@@ -414,16 +432,18 @@ proptest! {
     ) {
         let width = neuron.synapses().len();
         let artifact = CompiledArtifact::from_network(&srm0_network(&neuron));
-        // One good volley, then one with the wrong width.
-        let volleys = vec![
-            Volley::new(vec![spacetime::core::Time::ZERO; width]),
-            Volley::new(vec![spacetime::core::Time::ZERO; width + 1]),
-        ];
+        // A batch of the wrong width.
+        let volleys = vec![Volley::new(vec![spacetime::core::Time::ZERO; width + 1]); 2];
         let mut tracer = TraceBuffer::new();
         let stage = tracer.begin("batch.eval", SpanId::NONE);
-        prop_assert!(BatchEvaluator::with_threads(threads)
-            .eval_traced(&artifact, &volleys, &mut tracer, stage)
-            .is_err());
+        prop_assert!(eval_with(
+            &BatchEvaluator::with_threads(threads),
+            &artifact,
+            &volleys,
+            &mut tracer,
+            stage,
+        )
+        .is_err());
         tracer.end(stage);
         let records = tracer.into_records();
         prop_assert_eq!(records.len(), 1);
@@ -448,7 +468,7 @@ fn metered_training_is_bit_identical() {
 
         let mut metered = fresh_column(3, 16, 0.25, &config);
         let mut registry = MetricsRegistry::new();
-        let metered_report = train_column_metered(&mut metered, &stream, &config, &mut registry);
+        let metered_report = train_column_with(&mut metered, &stream, &config, &mut registry);
 
         assert_eq!(metered_report, plain_report, "seed {seed}");
         for (a, b) in plain.neurons().iter().zip(metered.neurons()) {
@@ -465,5 +485,180 @@ fn metered_training_is_bit_identical() {
             plain_report.weight_changes as u64,
             "seed {seed}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One collector with all three groups live: a single instrument that records
+// events, counters and spans at once changes no output and sees exactly what
+// separate Recorder, MetricsRegistry and TraceBuffer runs see, on every
+// engine at 1, 2 and N worker threads.
+
+use spacetime::core::FunctionTable;
+use spacetime::trace::{SpanRecord, TraceMark};
+
+/// A test-only instrument with every hook group live.
+#[derive(Debug, Default)]
+struct Everything {
+    recorder: Recorder,
+    registry: MetricsRegistry,
+    buffer: TraceBuffer,
+}
+
+impl Instrument for Everything {
+    type Worker = TraceBuffer;
+
+    fn events_live(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, event: ObsEvent) {
+        self.recorder.record(event);
+    }
+
+    fn counters_live(&self) -> bool {
+        true
+    }
+
+    fn incr(&mut self, counter: &'static str, by: u64) {
+        self.registry.incr(counter, by);
+    }
+
+    fn observe(&mut self, histogram: &'static str, value: u64) {
+        self.registry.observe(histogram, value);
+    }
+
+    fn merge_counters(&mut self, counters: &MetricsRegistry) {
+        self.registry.absorb(counters);
+    }
+
+    fn spans_live(&self) -> bool {
+        true
+    }
+
+    fn begin(&mut self, name: &'static str, parent: SpanId) -> SpanId {
+        self.buffer.begin(name, parent)
+    }
+
+    fn end(&mut self, id: SpanId) {
+        self.buffer.end(id);
+    }
+
+    fn mark(&self) -> TraceMark {
+        self.buffer.mark()
+    }
+
+    fn truncate(&mut self, mark: TraceMark) {
+        self.buffer.truncate(mark);
+    }
+
+    fn worker(&mut self, tid: u32) -> TraceBuffer {
+        self.buffer.worker(tid)
+    }
+
+    fn absorb(&mut self, worker: TraceBuffer) {
+        self.buffer.absorb(worker);
+    }
+}
+
+/// An event with its wall-clock fields zeroed.
+fn without_clock(event: &ObsEvent) -> ObsEvent {
+    match *event {
+        ObsEvent::VolleyTimed { index, spikes, .. } => ObsEvent::VolleyTimed {
+            index,
+            nanos: 0,
+            spikes,
+        },
+        ObsEvent::ChunkTiming {
+            worker, start, len, ..
+        } => ObsEvent::ChunkTiming {
+            worker,
+            start,
+            len,
+            start_nanos: 0,
+            nanos: 0,
+        },
+        ObsEvent::StageTiming { stage, .. } => ObsEvent::StageTiming {
+            stage,
+            start_nanos: 0,
+            nanos: 0,
+        },
+        ref other => other.clone(),
+    }
+}
+
+/// Every span as `(name, parent name, tid)`, sorted.
+fn span_edges(records: &[SpanRecord]) -> Vec<(&'static str, &'static str, u32)> {
+    let name = |id: SpanId| records.iter().find(|r| r.id == id).map_or("", |r| r.name);
+    let mut edges: Vec<_> = records
+        .iter()
+        .map(|r| (r.name, name(r.parent), r.tid))
+        .collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// Counters exactly, then histograms by name and observation count
+/// (their values include wall clocks).
+fn counts(registry: &MetricsRegistry) -> Vec<(&'static str, u64)> {
+    registry
+        .counters()
+        .chain(registry.histograms().map(|(name, h)| (name, h.count())))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn one_collector_with_every_group_matches_three_separate_ones(
+        neuron in arb_neuron(),
+        raw_volleys in prop::collection::vec(arb_volley(3), 1..24),
+        threads in 3usize..8,
+    ) {
+        let width = neuron.synapses().len();
+        let volleys: Vec<Volley> = raw_volleys
+            .iter()
+            .map(|v| Volley::new(v[..width].to_vec()))
+            .collect();
+        let network = srm0_network(&neuron);
+        let table = FunctionTable::from_fn(&neuron, 3).unwrap();
+        for artifact in [
+            CompiledArtifact::from_table(&table),
+            CompiledArtifact::from_network(&network),
+            CompiledArtifact::from_grl_network(&network),
+            CompiledArtifact::from(Column::new(vec![neuron.clone()], Inhibition::one_wta())),
+            CompiledArtifact::from_kernel_network(&network),
+        ] {
+            let plain = BatchEvaluator::with_threads(1)
+                .eval(&artifact, &volleys)
+                .unwrap();
+            for workers in [1, 2, threads] {
+                let evaluator = BatchEvaluator::with_threads(workers);
+                let mut all = Everything::default();
+                let stage = all.begin("batch.eval", SpanId::NONE);
+                let got = eval_with(&evaluator, &artifact, &volleys, &mut all, stage).unwrap();
+                all.end(stage);
+                prop_assert_eq!(&got, &plain, "workers = {}", workers);
+
+                let mut recorder = Recorder::new();
+                eval_with(&evaluator, &artifact, &volleys, &mut recorder, SpanId::NONE).unwrap();
+                let mut registry = MetricsRegistry::new();
+                eval_with(&evaluator, &artifact, &volleys, &mut registry, SpanId::NONE).unwrap();
+                let mut buffer = TraceBuffer::new();
+                let stage = buffer.begin("batch.eval", SpanId::NONE);
+                eval_with(&evaluator, &artifact, &volleys, &mut buffer, stage).unwrap();
+                buffer.end(stage);
+
+                let events = |r: &Recorder| r.events().iter().map(without_clock).collect::<Vec<_>>();
+                prop_assert_eq!(events(&all.recorder), events(&recorder), "workers = {}", workers);
+                prop_assert_eq!(counts(&all.registry), counts(&registry), "workers = {}", workers);
+                prop_assert_eq!(
+                    span_edges(&all.buffer.into_records()),
+                    span_edges(&buffer.into_records()),
+                    "workers = {}", workers
+                );
+            }
+        }
     }
 }
