@@ -375,6 +375,27 @@ fn write_decimal(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&digits[at..]);
 }
 
+/// A failed row within a batch: the lowest-index row an engine rejected.
+///
+/// Batch engines stop at, or after parallel workers race past, several
+/// bad rows; every one of them reports the **lowest-index** failure, so
+/// the error is reproducible across thread counts and pack sizes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchError {
+    /// Index of the offending volley within the input batch.
+    pub index: usize,
+    /// What went wrong with it.
+    pub source: CoreError,
+}
+
+impl fmt::Display for BatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "volley {} failed: {:?}", self.index, self.source)
+    }
+}
+
+impl std::error::Error for BatchError {}
+
 /// Why a volley file did not parse into a [`VolleyBatch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseVolleysError {

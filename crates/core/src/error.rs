@@ -75,9 +75,11 @@ pub enum CoreError {
     /// finite time: its latest event plus the cycles needed to settle
     /// after it do not fit a [`Time`].
     HorizonOverflow {
-        /// The latest finite input or constant event.
+        /// The latest finite input (or constant-driven fall, when that is
+        /// later than any input can reach).
         latest: u64,
-        /// Cycles the simulation runs after it.
+        /// Cycles the simulation runs after it: for a GRL netlist, its
+        /// deepest flip-flop path + 1 (1 after a constant's fall).
         settle: u64,
     },
 }

@@ -76,7 +76,7 @@ pub mod table;
 pub mod time;
 pub mod volley;
 
-pub use batch::{ParseVolleysError, VolleyBatch};
+pub use batch::{BatchError, ParseVolleysError, VolleyBatch};
 pub use compiled::CompiledTable;
 pub use error::CoreError;
 pub use expr::Expr;

@@ -16,7 +16,10 @@
 //!   one cycle per unit time.
 //!
 //! [`GrlNetlist`] is the structural netlist; the cycle-accurate simulator
-//! lives in [`crate::sim`].
+//! lives in [`crate::sim`]. Every wire falls at most once, so a run is
+//! over once the latest possible fall has happened: [`GrlNetlist::settle_bound`]
+//! finds that cycle from the netlist's critical flip-flop path, computed
+//! once when the netlist is built.
 
 use st_core::{CoreError, Time};
 
@@ -71,6 +74,11 @@ pub struct GrlNetlist {
     pub(crate) gates: Vec<GrlGate>,
     pub(crate) input_count: usize,
     pub(crate) outputs: Vec<WireId>,
+    /// The most flip-flops on any path from an input pad to a wire.
+    depth: u64,
+    /// The latest cycle a constant can make a wire fall: a `FallAt(c)`
+    /// plus the flip-flops after it (0 without constants).
+    const_latest: u64,
 }
 
 impl GrlNetlist {
@@ -129,31 +137,30 @@ impl GrlNetlist {
     }
 
     /// An upper bound on the cycle at which the last transition can occur,
-    /// given the latest finite input event: total flip-flop stages plus
-    /// the latest constant fall time. Used by the simulator to size its
-    /// run, which takes one step per cycle — so its cost grows linearly
-    /// with the latest finite spike time, by design (cycle accuracy).
+    /// given the inputs: `max(latest + depth, const_latest) + 1`, where
+    /// `latest` is the latest finite input, `depth` the most flip-flops on
+    /// any path from an input, and `const_latest` the latest fall a
+    /// `FallAt` constant drives through the flip-flops after it. Both
+    /// netlist numbers are computed once by [`GrlBuilder::build`], so this
+    /// is O(inputs). No wire falls, and no `lt` latch captures, after it.
+    ///
+    /// The simulator steps every cycle up to the bound, so a run's cost
+    /// grows linearly with its latest finite spike time, by design (cycle
+    /// accuracy).
     ///
     /// # Errors
     ///
     /// [`CoreError::HorizonOverflow`] if the bound is not a finite
-    /// [`Time`], i.e. the run would never reach it.
-    // Out of line on purpose: inlined, the overflow check reshapes the
-    // simulator's cycle loop, which then ran about 15% slower per run.
-    #[inline(never)]
+    /// [`Time`], i.e. the run would never reach it. Its `latest` is the
+    /// latest finite input and its `settle` the path depth + 1, or, when a
+    /// constant falls later than any input can reach, `const_latest` and 1.
     pub fn settle_bound(&self, inputs: &[Time]) -> Result<u64, CoreError> {
-        let max_input = inputs.iter().filter_map(|t| t.value()).max().unwrap_or(0);
-        let mut delay_total = 0u64;
-        let mut max_const = 0u64;
-        for g in &self.gates {
-            match g {
-                GrlGate::Delay(_) => delay_total += 1,
-                GrlGate::FallAt(c) => max_const = max_const.max(*c),
-                _ => {}
-            }
-        }
-        let latest = max_input.max(max_const);
-        let settle = delay_total + 1;
+        let input_latest = inputs.iter().filter_map(|t| t.value()).max().unwrap_or(0);
+        let (latest, settle) = if input_latest.saturating_add(self.depth) >= self.const_latest {
+            (input_latest, self.depth + 1)
+        } else {
+            (self.const_latest, 1)
+        };
         latest
             .checked_add(settle)
             .filter(|&bound| Time::try_finite(bound).is_some())
@@ -270,7 +277,8 @@ impl GrlBuilder {
         a
     }
 
-    /// Finalizes the netlist.
+    /// Finalizes the netlist, computing its critical flip-flop path for
+    /// [`GrlNetlist::settle_bound`].
     ///
     /// # Panics
     ///
@@ -285,10 +293,33 @@ impl GrlBuilder {
                 o.0
             );
         }
+        // Per wire, in topological order: the most flip-flops after an
+        // input, and the latest constant-driven fall (`None`: no such path).
+        let mut depth: Vec<Option<u64>> = Vec::with_capacity(self.gates.len());
+        let mut fall: Vec<Option<u64>> = Vec::with_capacity(self.gates.len());
+        for gate in &self.gates {
+            let (d, f) = match *gate {
+                GrlGate::Input(_) => (Some(0), None),
+                GrlGate::High => (None, None),
+                GrlGate::FallAt(c) => (None, Some(c)),
+                // A latch falls with `a` but captures when `b` falls.
+                GrlGate::And(a, b) | GrlGate::Or(a, b) | GrlGate::LtLatch { a, b } => {
+                    (depth[a.0].max(depth[b.0]), fall[a.0].max(fall[b.0]))
+                }
+                GrlGate::Delay(a) => (
+                    depth[a.0].map(|d| d + 1),
+                    fall[a.0].map(|f| f.saturating_add(1)),
+                ),
+            };
+            depth.push(d);
+            fall.push(f);
+        }
         GrlNetlist {
             gates: self.gates,
             input_count: self.input_count,
             outputs,
+            depth: depth.into_iter().flatten().max().unwrap_or(0),
+            const_latest: fall.into_iter().flatten().max().unwrap_or(0),
         }
     }
 }
@@ -335,15 +366,41 @@ mod tests {
 
     #[test]
     fn settle_bound_accounts_for_delays_and_constants() {
+        // A serial chain: the bound follows its five flip-flops.
+        let mut b = GrlBuilder::new();
+        let x = b.input();
+        let d = b.shift_register(x, 5);
+        let net = b.build([d]);
+        assert_eq!(net.settle_bound(&[Time::finite(3)]), Ok(3 + 5 + 1));
+        assert_eq!(net.settle_bound(&[Time::INFINITY]), Ok(5 + 1));
+
+        // Parallel chains add nothing: only the deepest one counts.
+        let mut b = GrlBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        let short = b.shift_register(x, 2);
+        let long = b.shift_register(y, 4);
+        let deep = b.shift_register(long, 1);
+        let o = b.or2(short, deep);
+        let net = b.build([o]);
+        assert_eq!(net.gate_census().3, 7);
+        assert_eq!(
+            net.settle_bound(&[Time::finite(1), Time::finite(2)]),
+            Ok(2 + 5 + 1)
+        );
+
+        // A constant falls at 9 through two flip-flops: it sets the bound
+        // until an input plus the path depth passes 11.
         let mut b = GrlBuilder::new();
         let x = b.input();
         let d = b.shift_register(x, 5);
         let c = b.fall_at(9);
-        let o = b.or2(d, c);
+        let dc = b.shift_register(c, 2);
+        let o = b.or2(d, dc);
         let net = b.build([o]);
-        assert_eq!(net.settle_bound(&[Time::finite(3)]), Ok(9 + 5 + 1));
+        assert_eq!(net.settle_bound(&[Time::finite(3)]), Ok(9 + 2 + 1));
+        assert_eq!(net.settle_bound(&[Time::INFINITY]), Ok(9 + 2 + 1));
         assert_eq!(net.settle_bound(&[Time::finite(20)]), Ok(20 + 5 + 1));
-        assert_eq!(net.settle_bound(&[Time::INFINITY]), Ok(9 + 5 + 1));
         for latest in [u64::MAX - 1, u64::MAX - 6] {
             assert_eq!(
                 net.settle_bound(&[Time::finite(latest)]),
@@ -353,6 +410,20 @@ mod tests {
         assert_eq!(
             net.settle_bound(&[Time::finite(u64::MAX - 7)]),
             Ok(u64::MAX - 1)
+        );
+
+        // A constant past every input reports itself and one settle cycle.
+        let mut b = GrlBuilder::new();
+        let x = b.input();
+        let c = b.fall_at(u64::MAX - 1);
+        let o = b.and2(x, c);
+        let net = b.build([o]);
+        assert_eq!(
+            net.settle_bound(&[Time::finite(3)]),
+            Err(CoreError::HorizonOverflow {
+                latest: u64::MAX - 1,
+                settle: 1
+            })
         );
     }
 

@@ -10,15 +10,31 @@
 //! must be paid before the next computation.
 //!
 //! Every wire falls at most once per computation (the minimal-transition
-//! property of § VI conjecture 1); the test suites check both this and the
+//! property of § VI conjecture 1), so a wire needs one bit per cycle and
+//! a run is over at [`GrlNetlist::settle_bound`], the netlist's critical
+//! flip-flop path past the latest input. The simulator is **bit-sliced**:
+//! one `u64` per wire carries 64 volleys, one per bit, so AND is
+//! `&`, OR is `|`, a flip-flop is the previous cycle's word, and a latch
+//! is `blocked |= !b & prev_a; out = a | blocked`. Each pack of up to 64
+//! volleys runs to the largest of its volleys' bounds; a volley's wires
+//! are quiet past its own bound, so the extra cycles change nothing.
+//! [`GrlSim::run`] is the same loop on a one-volley pack.
+//!
+//! The test suites check the one-fall property, the bound's soundness,
+//! the bit-sliced loop against a one-volley-at-a-time boolean oracle, and
 //! cycle-exact equivalence with the algebraic evaluator in `st-net`.
 
-use st_core::{CoreError, Time, Volley};
+use core::ops::Range;
+
+use st_core::{BatchError, CoreError, Time, VolleyBatch};
 use st_metrics::MetricsRegistry;
 use st_obs::ObsEvent;
 use st_trace::{Instrument, NullInstrument};
 
 use crate::netlist::{GrlGate, GrlNetlist};
+
+/// Volleys per pack: one per bit of a `u64` wire word.
+const LANES: usize = 64;
 
 /// Result of simulating one computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +50,7 @@ pub struct GrlReport {
     /// `0→1` transitions the subsequent reset phase must pay to restore
     /// the fallen wires (equal to `eval_transitions`) plus latch resets.
     pub reset_transitions: usize,
-    /// Cycles simulated.
+    /// Cycles simulated: [`GrlNetlist::settle_bound`] + 1.
     pub cycles: u64,
 }
 
@@ -57,27 +73,6 @@ impl GrlReport {
     }
 }
 
-/// Reusable per-run wire state, so batched runs allocate once.
-#[derive(Debug, Default)]
-struct GrlScratch {
-    level: Vec<bool>,
-    prev_level: Vec<bool>,
-    blocked: Vec<bool>,
-}
-
-impl GrlScratch {
-    /// Restores the reset state (all wires high, latches clear) for a
-    /// netlist of `n` wires, growing the buffers if needed.
-    fn reset(&mut self, n: usize) {
-        self.level.clear();
-        self.level.resize(n, true);
-        self.prev_level.clear();
-        self.prev_level.resize(n, true);
-        self.blocked.clear();
-        self.blocked.resize(n, false);
-    }
-}
-
 /// Cycle-accurate GRL simulator.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GrlSim;
@@ -90,41 +85,72 @@ impl GrlSim {
     }
 
     /// Simulates one computation: reset, then run until every transition
-    /// has settled (a bound derived from the netlist), recording each
-    /// wire's fall time.
+    /// has settled ([`GrlNetlist::settle_bound`]), recording each wire's
+    /// fall time.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the netlist's input count.
+    /// the netlist's input count, and [`CoreError::HorizonOverflow`] if
+    /// the run would pass the largest finite time.
     pub fn run(&self, netlist: &GrlNetlist, inputs: &[Time]) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(
-            netlist,
-            inputs,
-            &mut GrlScratch::default(),
-            &mut NullInstrument,
-        )
+        self.run_with(netlist, inputs, &mut NullInstrument)
     }
 
     /// [`GrlSim::run`] under an instrument: every wire fall is an
-    /// [`ObsEvent::WireFell`] (in cycle order) and every `lt` latch
-    /// capture an [`ObsEvent::LatchBlocked`]; the counters are the
-    /// `grl.*` counts — simulated cycles, wire transitions (the paper's
-    /// § VI energy proxy), reset transitions, and latch captures. With
-    /// [`NullInstrument`] this compiles to exactly [`GrlSim::run`];
-    /// results are identical for any instrument.
+    /// [`ObsEvent::WireFell`] and every `lt` latch capture an
+    /// [`ObsEvent::LatchBlocked`], in (cycle, wire) order with a latch's
+    /// capture before any fall; the counters are the `grl.*` counts —
+    /// simulated cycles, wire transitions (the paper's § VI energy proxy),
+    /// reset transitions, and latch captures. With [`NullInstrument`] this
+    /// compiles to exactly [`GrlSim::run`]; results are identical for any
+    /// instrument.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the netlist's input count.
+    /// As [`GrlSim::run`].
     pub fn run_with(
         &self,
         netlist: &GrlNetlist,
         inputs: &[Time],
         inst: &mut impl Instrument,
     ) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(netlist, inputs, &mut GrlScratch::default(), inst)
+        if inputs.len() != netlist.input_count() {
+            return Err(CoreError::ArityMismatch {
+                expected: netlist.input_count(),
+                actual: inputs.len(),
+            });
+        }
+        let horizon = netlist.settle_bound(inputs)?;
+        let mut fall_times = vec![Time::INFINITY; netlist.wire_count()];
+        let mut events = inst.events_live().then(Vec::new);
+        let mut tally = Tally::new(None, &mut fall_times, netlist.wire_count(), events.as_mut());
+        simulate(
+            netlist,
+            inputs,
+            1,
+            horizon,
+            &mut Lanes::default(),
+            &mut tally,
+        );
+        let (transitions, captures) = (tally.transitions, tally.captures);
+        if let Some(events) = &mut events {
+            replay(inst, events);
+        }
+        count(inst, 1, horizon + 1, transitions, captures);
+        let outputs = netlist
+            .outputs()
+            .iter()
+            .map(|o| fall_times[o.index()])
+            .collect();
+        Ok(GrlReport {
+            outputs,
+            fall_times,
+            eval_transitions: transitions as usize,
+            // Reset must raise every fallen wire and clear captured latches.
+            reset_transitions: (transitions + captures) as usize,
+            cycles: horizon + 1,
+        })
     }
 
     /// [`GrlSim::run_with`] into a [`MetricsRegistry`], kept for
@@ -142,104 +168,315 @@ impl GrlSim {
         self.run_with(netlist, inputs, sink)
     }
 
-    /// Simulates one computation per entry of `volleys`, reusing the
-    /// per-run scratch state (wire levels, latch flags) across the batch so
-    /// only the fall-time vector is allocated per volley.
+    /// Simulates every row of `input`, 64 per pack, into `out`, which is
+    /// reset to one row of output fall times per input row.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ArityMismatch`] for the first (lowest-index)
-    /// volley whose width differs from the netlist's input count.
+    /// As [`GrlSim::run_rows`]; `out` then holds the outputs of the rows
+    /// before the failing one and `∞` after it.
     pub fn run_batch(
         &self,
         netlist: &GrlNetlist,
-        volleys: &[Volley],
-    ) -> Result<Vec<GrlReport>, CoreError> {
-        let mut scratch = GrlScratch::default();
-        volleys
-            .iter()
-            .map(|v| self.run_with_scratch(netlist, v.times(), &mut scratch, &mut NullInstrument))
-            .collect()
+        input: &VolleyBatch,
+        out: &mut VolleyBatch,
+        inst: &mut impl Instrument,
+    ) -> Result<(), BatchError> {
+        out.reset(netlist.outputs().len(), input.len());
+        let result = self.run_rows(netlist, input, 0..input.len(), out.times_mut(), inst);
+        out.refresh_max();
+        result
     }
 
-    fn run_with_scratch(
+    /// Simulates input rows `rows`, 64 per pack, into `out`, their output
+    /// rows (`rows.len()` × output count times, preset to `∞` by the
+    /// caller). Each pack runs to the largest [`GrlNetlist::settle_bound`]
+    /// among its rows.
+    ///
+    /// The results, events and counters are exactly those of
+    /// [`GrlSim::run_with`] on each row in turn, stopping at the first
+    /// failure: events are replayed volley by volley, and the counters
+    /// are sums over rows (`grl.cycles` adds each row's own bound + 1), so
+    /// neither depends on how rows are packed.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-index failing row: [`CoreError::ArityMismatch`] at
+    /// `rows.start` if the batch is not the netlist's input width, or a
+    /// row's [`CoreError::HorizonOverflow`]. The rows before it are
+    /// simulated and recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not within the batch or `out` is too short.
+    pub fn run_rows(
         &self,
         netlist: &GrlNetlist,
-        inputs: &[Time],
-        scratch: &mut GrlScratch,
+        input: &VolleyBatch,
+        rows: Range<usize>,
+        out: &mut [Time],
         inst: &mut impl Instrument,
-    ) -> Result<GrlReport, CoreError> {
-        if inputs.len() != netlist.input_count() {
-            return Err(CoreError::ArityMismatch {
-                expected: netlist.input_count(),
-                actual: inputs.len(),
+    ) -> Result<(), BatchError> {
+        if input.width() != netlist.input_count() && !rows.is_empty() {
+            return Err(BatchError {
+                index: rows.start,
+                source: CoreError::ArityMismatch {
+                    expected: netlist.input_count(),
+                    actual: input.width(),
+                },
             });
         }
-        let n = netlist.wire_count();
-        let horizon = netlist.settle_bound(inputs)?;
-
-        // Reset state: every wire high, latches unblocked, flip-flops high.
-        scratch.reset(n);
-        let level = &mut scratch.level; // current-cycle level
-        let prev_level = &mut scratch.prev_level; // previous cycle
-        let blocked = &mut scratch.blocked; // latch state per wire
-        let mut fall: Vec<Time> = vec![Time::INFINITY; n];
-        let mut lt_latched = 0usize; // latches that captured a "blocked" state
-
-        for cycle in 0..=horizon {
-            let t = Time::finite(cycle);
-            for (i, gate) in netlist.gates.iter().enumerate() {
-                let new_level = match *gate {
-                    GrlGate::Input(p) => t < inputs[p],
-                    GrlGate::High => true,
-                    GrlGate::FallAt(c) => cycle < c,
-                    GrlGate::And(a, b) => level[a.index()] && level[b.index()],
-                    GrlGate::Or(a, b) => level[a.index()] || level[b.index()],
-                    GrlGate::LtLatch { a, b } => {
-                        // Block once b is low while a was still high at the
-                        // previous cycle (strictly earlier, or a tie).
-                        if !level[b.index()] && prev_level[a.index()] && !blocked[i] {
-                            blocked[i] = true;
-                            lt_latched += 1;
-                            if inst.events_live() {
-                                inst.record(ObsEvent::LatchBlocked { wire: i, at: t });
-                            }
-                        }
-                        level[a.index()] || blocked[i]
+        // Only the output wires' fall times are kept, one column per
+        // distinct wire.
+        let outputs = netlist.outputs();
+        let mut column = vec![UNWATCHED; netlist.wire_count()];
+        let mut columns = 0;
+        for o in outputs {
+            if column[o.index()] == UNWATCHED {
+                column[o.index()] = columns as u32;
+                columns += 1;
+            }
+        }
+        let mut falls = vec![Time::INFINITY; LANES * columns];
+        let mut lanes = Lanes::default();
+        let mut events = inst.events_live().then(Vec::new);
+        let (mut runs, mut cycles, mut transitions, mut captures) = (0, 0, 0, 0);
+        let mut result = Ok(());
+        let mut start = rows.start;
+        while start < rows.end && result.is_ok() {
+            let mut end = (start + LANES).min(rows.end);
+            let mut horizon = 0;
+            for row in start..end {
+                match netlist.settle_bound(input.row(row)) {
+                    Ok(bound) => {
+                        horizon = horizon.max(bound);
+                        cycles += bound + 1;
                     }
-                    GrlGate::Delay(a) => prev_level[a.index()],
-                };
-                if level[i] && !new_level {
-                    fall[i] = t;
-                    if inst.events_live() {
-                        inst.record(ObsEvent::WireFell { wire: i, at: t });
+                    Err(source) => {
+                        result = Err(BatchError { index: row, source });
+                        end = row;
+                        break;
                     }
                 }
-                level[i] = new_level;
             }
-            prev_level.copy_from_slice(level);
+            let count = end - start;
+            if count > 0 {
+                falls.fill(Time::INFINITY);
+                let mut tally = Tally::new(Some(&column), &mut falls, columns, events.as_mut());
+                simulate(
+                    netlist,
+                    input.row_range(start..end),
+                    count,
+                    horizon,
+                    &mut lanes,
+                    &mut tally,
+                );
+                transitions += tally.transitions;
+                captures += tally.captures;
+                let width = outputs.len();
+                let pack_out = &mut out[(start - rows.start) * width..(end - rows.start) * width];
+                for (lane, slot) in pack_out.chunks_exact_mut(width.max(1)).enumerate() {
+                    for (time, o) in slot.iter_mut().zip(outputs) {
+                        *time = falls[lane * columns + column[o.index()] as usize];
+                    }
+                }
+                if let Some(events) = &mut events {
+                    replay(inst, events);
+                }
+                runs += count as u64;
+            }
+            start = end;
         }
+        count(inst, runs, cycles, transitions, captures);
+        result
+    }
+}
 
-        let eval_transitions = fall.iter().filter(|f| f.is_finite()).count();
-        if inst.counters_live() {
-            inst.incr("grl.runs", 1);
-            inst.incr("grl.cycles", horizon + 1);
-            inst.incr("grl.wire_transitions", eval_transitions as u64);
-            inst.incr(
-                "grl.reset_transitions",
-                (eval_transitions + lt_latched) as u64,
-            );
-            inst.incr("grl.latch_captures", lt_latched as u64);
+/// Records one pack's `(lane, event)` list volley by volley. The pack
+/// produced them in (cycle, wire) order across lanes, so a stable sort by
+/// lane gives each volley's events in the order a one-volley run would.
+fn replay(inst: &mut impl Instrument, events: &mut Vec<(usize, ObsEvent)>) {
+    events.sort_by_key(|&(lane, _)| lane);
+    for (_, event) in events.drain(..) {
+        inst.record(event);
+    }
+}
+
+/// Adds the `grl.*` counters of `runs` runs.
+fn count(inst: &mut impl Instrument, runs: u64, cycles: u64, transitions: u64, captures: u64) {
+    if inst.counters_live() && runs > 0 {
+        inst.incr("grl.runs", runs);
+        inst.incr("grl.cycles", cycles);
+        inst.incr("grl.wire_transitions", transitions);
+        inst.incr("grl.reset_transitions", transitions + captures);
+        inst.incr("grl.latch_captures", captures);
+    }
+}
+
+/// A wire whose fall times a run does not keep.
+const UNWATCHED: u32 = u32::MAX;
+
+/// Reusable bit-sliced wire state: bit `k` of a word is lane `k`.
+#[derive(Debug, Default)]
+struct Lanes {
+    /// This cycle's level of every wire (1 = high).
+    level: Vec<u64>,
+    /// The previous cycle's levels, for flip-flops and latches.
+    prev: Vec<u64>,
+    /// Lanes in which each `lt` latch has captured.
+    blocked: Vec<u64>,
+    /// The level of each input pad.
+    pads: Vec<u64>,
+    /// Input falls in cycle order: `(cycle, pad, lane bit)`.
+    schedule: Vec<(u64, usize, u64)>,
+}
+
+/// What a pack's run keeps: fall times of the watched wires, per lane,
+/// the replayable events, and the transition and capture totals.
+struct Tally<'a> {
+    /// Each wire's column in `falls` ([`UNWATCHED`]: none); `None` keeps
+    /// every wire, in wire order.
+    column: Option<&'a [u32]>,
+    /// `falls[lane * columns + column]`, preset to `∞`.
+    falls: &'a mut [Time],
+    columns: usize,
+    /// `(lane, event)` in the order the pack produced them.
+    events: Option<&'a mut Vec<(usize, ObsEvent)>>,
+    transitions: u64,
+    captures: u64,
+}
+
+impl<'a> Tally<'a> {
+    fn new(
+        column: Option<&'a [u32]>,
+        falls: &'a mut [Time],
+        columns: usize,
+        events: Option<&'a mut Vec<(usize, ObsEvent)>>,
+    ) -> Tally<'a> {
+        Tally {
+            column,
+            falls,
+            columns,
+            events,
+            transitions: 0,
+            captures: 0,
         }
-        let outputs = netlist.outputs().iter().map(|o| fall[o.index()]).collect();
-        Ok(GrlReport {
-            outputs,
-            fall_times: fall,
-            eval_transitions,
-            // Reset must raise every fallen wire and clear captured latches.
-            reset_transitions: eval_transitions + lt_latched,
-            cycles: horizon + 1,
+    }
+
+    /// `lanes` of latch `wire` captured at `cycle`.
+    fn captured(&mut self, wire: usize, cycle: u64, lanes: u64) {
+        self.captures += u64::from(lanes.count_ones());
+        if let Some(events) = self.events.as_deref_mut() {
+            let at = Time::finite(cycle);
+            events.extend(bits(lanes).map(|lane| (lane, ObsEvent::LatchBlocked { wire, at })));
+        }
+    }
+
+    /// `lanes` of `wire` fell at `cycle`.
+    fn fell(&mut self, wire: usize, cycle: u64, lanes: u64) {
+        self.transitions += u64::from(lanes.count_ones());
+        let column = self.column.map_or(wire as u32, |column| column[wire]);
+        let at = Time::finite(cycle);
+        if column != UNWATCHED {
+            for lane in bits(lanes) {
+                self.falls[lane * self.columns + column as usize] = at;
+            }
+        }
+        if let Some(events) = self.events.as_deref_mut() {
+            events.extend(bits(lanes).map(|lane| (lane, ObsEvent::WireFell { wire, at })));
+        }
+    }
+}
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let lane = word.trailing_zeros() as usize;
+            word &= word - 1;
+            lane
         })
+    })
+}
+
+/// The one GRL cycle loop: runs `count` (1..=64) volleys, `rows` holding
+/// them row-major, from reset through cycle `horizon`, reporting every
+/// capture and fall to `tally` in (cycle, wire) order.
+fn simulate(
+    netlist: &GrlNetlist,
+    rows: &[Time],
+    count: usize,
+    horizon: u64,
+    lanes: &mut Lanes,
+    tally: &mut Tally<'_>,
+) {
+    let n = netlist.wire_count();
+    let live = u64::MAX >> (LANES - count);
+    // Reset state: every wire high, latches transparent, in live lanes only.
+    let Lanes {
+        level,
+        prev,
+        blocked,
+        pads,
+        schedule,
+    } = lanes;
+    for words in [&mut *level, &mut *prev] {
+        words.clear();
+        words.resize(n, live);
+    }
+    blocked.clear();
+    blocked.resize(n, 0);
+    pads.clear();
+    pads.resize(netlist.input_count(), live);
+    schedule.clear();
+    if !pads.is_empty() {
+        for (lane, row) in rows.chunks_exact(pads.len()).enumerate() {
+            for (pad, t) in row.iter().enumerate() {
+                if let Some(cycle) = t.value() {
+                    schedule.push((cycle, pad, 1 << lane));
+                }
+            }
+        }
+    }
+    schedule.sort_unstable_by_key(|&(cycle, ..)| cycle);
+
+    let mut next = schedule.iter().peekable();
+    for cycle in 0..=horizon {
+        while let Some(&(_, pad, bit)) = next.next_if(|&&(at, ..)| at == cycle) {
+            pads[pad] &= !bit;
+        }
+        for (i, gate) in netlist.gates.iter().enumerate() {
+            let new = match *gate {
+                GrlGate::Input(p) => pads[p],
+                GrlGate::High => live,
+                GrlGate::FallAt(c) => {
+                    if cycle < c {
+                        live
+                    } else {
+                        0
+                    }
+                }
+                GrlGate::And(a, b) => level[a.index()] & level[b.index()],
+                GrlGate::Or(a, b) => level[a.index()] | level[b.index()],
+                GrlGate::LtLatch { a, b } => {
+                    // Block once b is low while a was still high at the
+                    // previous cycle (strictly earlier, or a tie).
+                    let capture = !level[b.index()] & prev[a.index()] & !blocked[i];
+                    if capture != 0 {
+                        blocked[i] |= capture;
+                        tally.captured(i, cycle, capture);
+                    }
+                    level[a.index()] | blocked[i]
+                }
+                GrlGate::Delay(a) => prev[a.index()],
+            };
+            let fell = level[i] & !new;
+            if fell != 0 {
+                tally.fell(i, cycle, fell);
+            }
+            level[i] = new;
+        }
+        prev.copy_from_slice(level);
     }
 }
 
@@ -477,7 +714,7 @@ mod tests {
 
     #[test]
     fn run_batch_matches_per_volley_runs() {
-        use st_core::Volley;
+        use st_core::VolleyBatch;
         let mut b = GrlBuilder::new();
         let x = b.input();
         let y = b.input();
@@ -485,16 +722,24 @@ mod tests {
         let d = b.shift_register(x, 2);
         let mn = b.and2(d, y);
         let out = b.lt(mn, z);
-        let net = b.build([out]);
+        let net = b.build([out, d, out]);
         let sim = GrlSim::new();
-        let volleys: Vec<Volley> = st_core::enumerate_inputs(3, 3).map(Volley::new).collect();
-        let reports = sim.run_batch(&net, &volleys).unwrap();
-        assert_eq!(reports.len(), volleys.len());
-        for (v, report) in volleys.iter().zip(&reports) {
-            assert_eq!(*report, sim.run(&net, v.times()).unwrap(), "at {v:?}");
+        // 5^3 = 125 volleys: one full pack and one partial one.
+        let volleys: Vec<Vec<Time>> = st_core::enumerate_inputs(3, 3).collect();
+        let input = VolleyBatch::from_fn(3, volleys.len(), |row, line| volleys[row][line]);
+        let mut out = VolleyBatch::default();
+        sim.run_batch(&net, &input, &mut out, &mut NullInstrument)
+            .unwrap();
+        assert_eq!(out.len(), volleys.len());
+        for (v, row) in volleys.iter().zip(out.rows()) {
+            assert_eq!(row, sim.run(&net, v).unwrap().outputs, "at {v:?}");
         }
-        // A bad volley anywhere fails the whole batch.
-        assert!(sim.run_batch(&net, &[Volley::new(vec![t(0)])]).is_err());
+        // A batch of the wrong width fails at its first row.
+        let narrow = VolleyBatch::from_fn(1, 2, |_, _| t(0));
+        let err = sim
+            .run_batch(&net, &narrow, &mut out, &mut NullInstrument)
+            .unwrap_err();
+        assert_eq!(err.index, 0);
     }
 
     #[test]

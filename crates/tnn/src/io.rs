@@ -117,13 +117,16 @@ fn parse_numbers<T: core::str::FromStr>(
 /// Parses the column text format.
 ///
 /// The shared unit response is taken from the `response` line; every
-/// `neuron` line contributes one neuron, in order.
+/// `neuron` line contributes one neuron, in order. Inhibition must select
+/// someone: a `wta` window and a `kwta` winner count are at least 1, and
+/// `kwta` asks for no more winners than the column has neurons.
 ///
 /// # Errors
 ///
 /// Returns [`ParseIoError`] locating the first problem.
 pub fn parse_column(text: &str) -> Result<Column, ParseIoError> {
     let mut inhibition: Option<Inhibition> = None;
+    let mut inhibition_line = 0;
     let mut response: Option<ResponseFn> = None;
     let mut neurons: Vec<Srm0Neuron> = Vec::new();
 
@@ -137,22 +140,27 @@ pub fn parse_column(text: &str) -> Result<Column, ParseIoError> {
         let mut tokens = line.split_whitespace().peekable();
         match tokens.next() {
             Some("inhibition") => {
+                // A zero window or winner count selects nothing, and the
+                // WTA lowering cannot build it: both are rejected here.
                 inhibition = Some(match tokens.next() {
                     Some("none") => Inhibition::None,
                     Some("wta") => Inhibition::Wta {
                         tau: tokens
                             .next()
                             .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| err("wta needs a window τ".into()))?,
+                            .filter(|&tau| tau > 0)
+                            .ok_or_else(|| err("wta needs a window τ ≥ 1".into()))?,
                     },
                     Some("kwta") => Inhibition::KWta {
                         k: tokens
                             .next()
                             .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| err("kwta needs a winner count".into()))?,
+                            .filter(|&k| k > 0)
+                            .ok_or_else(|| err("kwta needs a winner count k ≥ 1".into()))?,
                     },
                     other => return Err(err(format!("unknown inhibition {other:?}"))),
                 });
+                inhibition_line = line_no;
             }
             Some("response") => {
                 if tokens.next() != Some("ups") {
@@ -212,6 +220,17 @@ pub fn parse_column(text: &str) -> Result<Column, ParseIoError> {
     let width = neurons[0].synapses().len();
     if neurons.iter().any(|n| n.synapses().len() != width) {
         return Err(ParseIoError::new(0, "neurons disagree on input width"));
+    }
+    if let Some(Inhibition::KWta { k }) = inhibition {
+        if k > neurons.len() {
+            return Err(ParseIoError::new(
+                inhibition_line,
+                format!(
+                    "kwta wants {k} winners but the column has {} neuron(s)",
+                    neurons.len()
+                ),
+            ));
+        }
     }
     Ok(Column::new(
         neurons,
@@ -345,6 +364,13 @@ mod tests {
     fn column_parse_errors_locate_lines() {
         let cases = [
             ("inhibition sideways\n", 1, "unknown inhibition"),
+            ("inhibition wta 0\n", 1, "wta needs a window τ ≥ 1"),
+            ("# c\ninhibition kwta 0\n", 2, "kwta needs a winner count k ≥ 1"),
+            (
+                "inhibition kwta 2\nresponse ups 1 downs\nneuron theta 1 delays 0 weights 1\n",
+                1,
+                "kwta wants 2 winners but the column has 1 neuron(s)",
+            ),
             ("response downs 1\n", 1, "must start with `ups`"),
             ("response ups 1\n", 1, "needs a `downs`"),
             ("neuron theta 1 delays 0 weights\n", 1, "equal-length"),

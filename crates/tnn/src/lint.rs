@@ -2,11 +2,11 @@
 //!
 //! Two checks live at the column level, before any lowering:
 //!
-//! * **STA012** — inhibition parameters must be in range. `parse_column`
-//!   accepts any numbers the file offers, but `τ = 0` silently inhibits
-//!   every neuron including the winner, `k = 0` selects no winners, and
-//!   `k > n` is not a selection at all; [`Column::to_network`] would
-//!   panic on the first and third.
+//! * **STA012** — inhibition parameters must be in range: `τ = 0`
+//!   silently inhibits every neuron including the winner, `k = 0` selects
+//!   no winners, and `k > n` is not a selection at all;
+//!   [`Column::to_network`] would panic on all three. `parse_column`
+//!   rejects them in a file, so this check guards columns built in code.
 //! * **STA013** — every neuron's threshold must be *reachable*: the sum
 //!   over excitatory synapses of `weight × peak unit response` is the
 //!   most membrane potential perfectly aligned spikes can ever build, and

@@ -7,10 +7,16 @@
 //! increasing window so the first disagreement it finds is a **minimal
 //! counterexample** — no volley with a smaller temporal extent separates
 //! the two sides.
+//!
+//! Each extent's volleys are enumerated into a reused [`VolleyBatch`] of
+//! at most 4,096 rows, and both sides evaluate whole batches
+//! ([`Evaluator::eval_batch`]), so memory does not grow with the domain.
+//! The first differing row in enumeration order is the counterexample,
+//! exactly as a volley-by-volley walk would find it.
 
 use core::fmt;
 
-use st_core::{enumerate_inputs, Time};
+use st_core::{enumerate_inputs, Time, VolleyBatch};
 use st_trace::{Instrument, NullInstrument, SpanId};
 
 use crate::eval::Evaluator;
@@ -18,6 +24,9 @@ use crate::eval::Evaluator;
 /// A hard ceiling on volleys per check, guarding against accidentally
 /// enormous `(window + 2)^width` domains.
 const MAX_VOLLEYS: u64 = 4_000_000;
+
+/// The most volleys evaluated in one batch.
+const BATCH_ROWS: usize = 4_096;
 
 /// A positive result: the two sides agreed on every normalized volley in
 /// the window.
@@ -180,30 +189,25 @@ pub fn check_equiv_traced<T: Instrument>(
         ));
     }
     let mut volleys = 0u64;
+    let mut batch = VolleyBatch::new(width);
+    let (mut l, mut r) = (VolleyBatch::default(), VolleyBatch::default());
     for extent in 0..=window {
         let _span = tracer.span("verify.window", parent);
-        for inputs in enumerate_inputs(width, extent) {
-            // Volleys already covered at a smaller extent are skipped:
-            // only those that actually use tick `extent` are new.
-            if extent > 0 && !inputs.contains(&Time::finite(extent)) {
-                continue;
+        // Volleys already covered at a smaller extent are skipped: only
+        // those that actually use tick `extent` are new.
+        let mut fresh = enumerate_inputs(width, extent)
+            .filter(|inputs| extent == 0 || inputs.contains(&Time::finite(extent)));
+        loop {
+            batch.reset(width, 0);
+            for inputs in fresh.by_ref().take(BATCH_ROWS) {
+                batch.push_row(&inputs).map_err(|e| e.to_string())?;
             }
-            volleys += 1;
-            let l = left
-                .eval(&inputs)
-                .map_err(|e| format!("{} failed: {e}", left.name()))?;
-            let r = right
-                .eval(&inputs)
-                .map_err(|e| format!("{} failed: {e}", right.name()))?;
-            if let Some(output) = (0..l.len()).find(|&i| l[i] != r[i]) {
-                return Ok(EquivResult::Refuted(Counterexample {
-                    left: left.name().to_owned(),
-                    right: right.name().to_owned(),
-                    inputs,
-                    left_outputs: l,
-                    right_outputs: r,
-                    output,
-                }));
+            if batch.is_empty() {
+                break;
+            }
+            volleys += batch.len() as u64;
+            if let Some(cex) = first_difference(left, right, &batch, &mut l, &mut r)? {
+                return Ok(EquivResult::Refuted(cex));
             }
         }
     }
@@ -213,6 +217,47 @@ pub fn check_equiv_traced<T: Instrument>(
         window,
         volleys,
     }))
+}
+
+/// Evaluates `batch` on both sides and returns the first row on which
+/// they differ, or the first evaluation failure, whichever comes first
+/// in row order — the left side's at a tie, as if each row were
+/// evaluated left then right.
+fn first_difference(
+    left: &dyn Evaluator,
+    right: &dyn Evaluator,
+    batch: &VolleyBatch,
+    l: &mut VolleyBatch,
+    r: &mut VolleyBatch,
+) -> Result<Option<Counterexample>, String> {
+    let l_err = left.eval_batch(batch, l).err();
+    let r_err = right.eval_batch(batch, r).err();
+    let stop = [&l_err, &r_err]
+        .into_iter()
+        .flatten()
+        .map(|&(row, _)| row)
+        .min()
+        .unwrap_or(batch.len());
+    for row in 0..stop {
+        let (lo, ro) = (l.row(row), r.row(row));
+        if let Some(output) = (0..lo.len()).find(|&i| lo[i] != ro[i]) {
+            return Ok(Some(Counterexample {
+                left: left.name().to_owned(),
+                right: right.name().to_owned(),
+                inputs: batch.row(row).to_vec(),
+                left_outputs: lo.to_vec(),
+                right_outputs: ro.to_vec(),
+                output,
+            }));
+        }
+    }
+    match (l_err, r_err) {
+        (Some((row, e)), r_err) if r_err.as_ref().is_none_or(|&(r_row, _)| row <= r_row) => {
+            Err(format!("{} failed: {e}", left.name()))
+        }
+        (_, Some((_, e))) => Err(format!("{} failed: {e}", right.name())),
+        _ => Ok(None),
+    }
 }
 
 #[cfg(test)]
@@ -269,5 +314,84 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("domain too large"), "{err}");
+    }
+
+    /// Five silent lines, except that it answers `0` on `differ` and
+    /// rejects `fail`.
+    struct Scripted {
+        differ: Option<Vec<Time>>,
+        fail: Option<Vec<Time>>,
+    }
+
+    impl Evaluator for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn input_width(&self) -> usize {
+            5
+        }
+
+        fn output_width(&self) -> usize {
+            1
+        }
+
+        fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String> {
+            if self.fail.as_deref() == Some(inputs) {
+                return Err("rejected".to_owned());
+            }
+            let differs = self.differ.as_deref() == Some(inputs);
+            Ok(vec![if differs { Time::ZERO } else { Time::INFINITY }])
+        }
+    }
+
+    #[test]
+    fn batches_keep_the_volley_by_volley_verdict() {
+        let silent = Scripted {
+            differ: None,
+            fail: None,
+        };
+        // 6^5 volleys; extent 4 alone adds 6^5 - 5^5 = 4,651, more than
+        // one batch.
+        let proof = check_equiv(&silent, &silent, 4).unwrap();
+        assert_eq!(proof.proof().map(|p| p.volleys), Some(7_776));
+        let extent4: Vec<Vec<Time>> = enumerate_inputs(5, 4)
+            .filter(|v| v.contains(&Time::finite(4)))
+            .collect();
+        assert!(extent4.len() > BATCH_ROWS);
+        let (early, late) = (extent4[10].clone(), extent4[BATCH_ROWS + 10].clone());
+
+        // A difference in the second batch of an extent is found there.
+        let left = Scripted {
+            differ: Some(late.clone()),
+            fail: None,
+        };
+        let cex = check_equiv(&left, &silent, 4).unwrap();
+        assert_eq!(
+            cex.counterexample().map(|c| c.inputs.clone()),
+            Some(late.clone())
+        );
+
+        // A difference before a failure wins, and a failure before a
+        // difference is the error, whichever side fails.
+        let left = Scripted {
+            differ: Some(early.clone()),
+            fail: Some(late.clone()),
+        };
+        let cex = check_equiv(&left, &silent, 4).unwrap();
+        assert_eq!(
+            cex.counterexample().map(|c| c.inputs.clone()),
+            Some(early.clone())
+        );
+        let right = Scripted {
+            differ: None,
+            fail: Some(early),
+        };
+        let left = Scripted {
+            differ: Some(late),
+            fail: None,
+        };
+        let err = check_equiv(&left, &right, 4).unwrap_err();
+        assert_eq!(err, "scripted failed: rejected");
     }
 }

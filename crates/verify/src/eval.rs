@@ -5,13 +5,19 @@
 //! each representation in the workspace — [`FunctionTable`],
 //! [`Network`], [`GrlNetlist`], and [`Column`] — the same `Evaluator`
 //! face, so any pair can be checked against any other.
+//!
+//! The checker hands evaluators whole batches of volleys
+//! ([`Evaluator::eval_batch`]); by default that is a loop over
+//! [`Evaluator::eval`], and the GRL netlist overrides it with the
+//! bit-sliced simulator, 64 volleys per wire word.
 
-use st_core::{FunctionTable, Time, Volley};
+use st_core::{FunctionTable, Time, Volley, VolleyBatch};
 use st_grl::{GrlNetlist, GrlSim};
 use st_net::Network;
 use st_tnn::Column;
+use st_trace::NullInstrument;
 
-/// A multi-output spike-time function evaluated one volley at a time.
+/// A multi-output spike-time function evaluated volley by volley.
 pub trait Evaluator {
     /// A short stable tag ("table", "net", "grl", "column", "spec")
     /// naming the representation in proofs and counterexamples.
@@ -31,6 +37,29 @@ pub trait Evaluator {
     /// (arity mismatch or internal failure); the checker treats this as
     /// an operational error, not a refutation.
     fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String>;
+
+    /// Evaluates every row of `input` into `out`, which is reset to one
+    /// [`Evaluator::output_width`]-wide row per input row. The default is
+    /// [`Evaluator::eval`] row by row.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-index row [`Evaluator::eval`] rejects, with its message;
+    /// the rows before it hold their outputs.
+    fn eval_batch(
+        &self,
+        input: &VolleyBatch,
+        out: &mut VolleyBatch,
+    ) -> Result<(), (usize, String)> {
+        let width = self.output_width();
+        out.reset(width, input.len());
+        let times = out.times_mut();
+        for (row, inputs) in input.rows().enumerate() {
+            let outputs = self.eval(inputs).map_err(|e| (row, e))?;
+            times[row * width..(row + 1) * width].copy_from_slice(&outputs);
+        }
+        Ok(())
+    }
 }
 
 /// [`FunctionTable`] as a single-output evaluator (Theorem 1 minterm
@@ -115,7 +144,7 @@ impl Evaluator for NetEvaluator<'_> {
 }
 
 /// [`GrlNetlist`] as an evaluator (cycle-accurate CMOS race-logic
-/// simulation via [`GrlSim`]).
+/// simulation via [`GrlSim`], bit-sliced over whole batches).
 #[derive(Debug, Clone, Copy)]
 pub struct GrlEvaluator<'a> {
     netlist: &'a GrlNetlist,
@@ -147,6 +176,16 @@ impl Evaluator for GrlEvaluator<'_> {
             .run(self.netlist, inputs)
             .map(|r| r.outputs)
             .map_err(|e| e.to_string())
+    }
+
+    fn eval_batch(
+        &self,
+        input: &VolleyBatch,
+        out: &mut VolleyBatch,
+    ) -> Result<(), (usize, String)> {
+        GrlSim::new()
+            .run_batch(self.netlist, input, out, &mut NullInstrument)
+            .map_err(|e| (e.index, e.source.to_string()))
     }
 }
 

@@ -54,6 +54,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
 
+pub use st_core::BatchError;
 use st_core::{lane, CompiledTable, CoreError, FunctionTable, Time, Volley, VolleyBatch};
 use st_grl::{compile_network, GrlNetlist, GrlSim};
 use st_kernel::{PacketStats, Plan, Scratch};
@@ -374,27 +375,6 @@ impl From<Plan> for CompiledArtifact {
     }
 }
 
-/// A failed volley within a batch.
-///
-/// Workers race through the batch in parallel and several volleys may be
-/// malformed; the engine deterministically reports the **lowest-index**
-/// failure, so the error is reproducible across thread counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchError {
-    /// Index of the offending volley within the input batch.
-    pub index: usize,
-    /// What went wrong with it.
-    pub source: CoreError,
-}
-
-impl fmt::Display for BatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "volley {} failed: {:?}", self.index, self.source)
-    }
-}
-
-impl std::error::Error for BatchError {}
-
 /// Multi-threaded evaluate-many engine over a [`CompiledArtifact`].
 ///
 /// The batch is split into contiguous chunks, one per worker; workers
@@ -539,7 +519,9 @@ impl BatchEvaluator {
     ///
     /// A kernel artifact whose batch fits its lane bound (an O(1) check of
     /// the batch's recorded maximum) takes the eight-rows-per-packet SWAR
-    /// path; every other batch runs each engine's row evaluator.
+    /// path, a GRL netlist the bit-sliced 64-rows-per-word simulator
+    /// ([`GrlSim::run_rows`], one call per chunk); every other batch runs
+    /// each engine's row evaluator.
     ///
     /// On success the instrument gets, per live group:
     /// - events: one [`ObsEvent::VolleyTimed`] per volley (wall-clock
@@ -593,6 +575,10 @@ impl BatchEvaluator {
                     if !input.is_empty() && plan.lane_capable_batch(input) =>
                 {
                     let runner = Packets { plan, input };
+                    self.fan_out(&runner, out, inst, parent)
+                }
+                CompiledArtifact::Grl(netlist) => {
+                    let runner = GrlPacks { netlist, input };
                     self.fan_out(&runner, out, inst, parent)
                 }
                 _ => {
@@ -917,6 +903,45 @@ impl ChunkRunner for Packets<'_> {
             registry.incr("kernel.gates_skipped", stats.gates_skipped);
         }
         Ok(timings)
+    }
+}
+
+/// GRL's bit-sliced path: one [`GrlSim::run_rows`] call per chunk, which
+/// simulates 64 volleys per wire word. Its counters are sums over rows,
+/// so they are identical at every thread count without aligning chunks.
+/// A volley's [`ObsEvent::VolleyTimed`] reports its even share of its
+/// chunk's time.
+struct GrlPacks<'a> {
+    netlist: &'a GrlNetlist,
+    input: &'a VolleyBatch,
+}
+
+impl ChunkRunner for GrlPacks<'_> {
+    const ALIGN: usize = 1;
+
+    fn run<S: Instrument>(
+        &self,
+        base: usize,
+        len: usize,
+        out: &mut [Time],
+        timed: bool,
+        chunk: &mut ChunkInst<'_, S>,
+    ) -> Result<Vec<Timing>, BatchError> {
+        let t0 = timed.then(Instant::now);
+        let rows = base..base + len;
+        let sim = GrlSim::new();
+        match chunk.counters.as_mut() {
+            Some(registry) => sim.run_rows(self.netlist, self.input, rows, out, registry),
+            None => sim.run_rows(self.netlist, self.input, rows, out, &mut NullInstrument),
+        }?;
+        let Some(t0) = t0 else {
+            return Ok(Vec::new());
+        };
+        let share = t0.elapsed().as_nanos() as u64 / len.max(1) as u64;
+        let width = self.netlist.outputs().len();
+        Ok(row_chunks_mut(out, width, len, 1)
+            .map(|(k, _, slot)| (base + k, share, spikes(slot)))
+            .collect())
     }
 }
 

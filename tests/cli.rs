@@ -791,6 +791,45 @@ fn lint_deny_and_allow_override_severities_with_stable_exits() {
 }
 
 #[test]
+fn inhibition_that_selects_no_one_is_a_parse_error_not_a_crash() {
+    // `wta 0`, `kwta 0` and a `kwta` past the neuron count would trip the
+    // WTA lowering's assertions (exit 101). They are rejected where the
+    // file says them, under each command's own exit contract: 2 for the
+    // gates, 1 for `profile`.
+    let column = std::fs::read_to_string(example("column2.tnn")).unwrap();
+    for (inhibition, message) in [
+        ("wta 0", "line 1: wta needs a window τ ≥ 1"),
+        ("kwta 0", "line 1: kwta needs a winner count k ≥ 1"),
+        (
+            "kwta 3",
+            "line 1: kwta wants 3 winners but the column has 2 neuron(s)",
+        ),
+    ] {
+        let text = column.replace("inhibition wta 1", &format!("inhibition {inhibition}"));
+        let file = TempFile::with_content("bad-inhibition.tnn", &text);
+        for (args, code) in [
+            (vec!["verify", file.to_str()], 2),
+            (vec!["opt", file.to_str()], 2),
+            (vec!["inspect", file.to_str(), "--stats"], 2),
+            (vec!["profile", file.to_str()], 1),
+        ] {
+            let out = bin().args(&args).output().expect("run");
+            assert_eq!(
+                out.status.code(),
+                Some(code),
+                "{inhibition} {args:?}: {out:?}"
+            );
+            assert!(out.stdout.is_empty(), "{out:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("error: {}: {message}\n", file.to_str()),
+                "{inhibition} {args:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn lint_and_verify_exit_two_on_operational_errors() {
     let out = bin().args(["lint", "/nonexistent.table"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -7,12 +7,13 @@ mod common;
 use common::arbitrary::{arb_neuron, arb_volley};
 use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
-use spacetime::core::{verify_space_time, FunctionTable, Time, Volley};
+use spacetime::core::{verify_space_time, FunctionTable, Time, Volley, VolleyBatch};
 use spacetime::grl::{compile_network, GrlSim};
 use spacetime::net::EventSim;
 use spacetime::neuron::structural::srm0_network;
 use spacetime::neuron::Srm0Neuron;
 use spacetime::tnn::{Column, Inhibition};
+use spacetime::trace::NullInstrument;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -132,13 +133,11 @@ proptest! {
             .map(|r| Volley::new(r.outputs))
             .collect();
         prop_assert_eq!(hook_net, seq_net);
-        let hook_grl: Vec<Volley> = cmos
-            .run_batch(&netlist, &volleys)
-            .unwrap()
-            .into_iter()
-            .map(|r| Volley::new(r.outputs))
-            .collect();
-        prop_assert_eq!(hook_grl, seq_grl);
+        let input = VolleyBatch::from_fn(width, volleys.len(), |row, line| volleys[row].times()[line]);
+        let mut hook_grl = VolleyBatch::default();
+        cmos.run_batch(&netlist, &input, &mut hook_grl, &mut NullInstrument)
+            .unwrap();
+        prop_assert_eq!(hook_grl.to_volleys(), seq_grl);
     }
 
     /// A compiled table artifact reproduces sequential `FunctionTable::eval`
