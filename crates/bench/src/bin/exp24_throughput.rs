@@ -195,7 +195,7 @@ fn software_throughput() {
             "net",
             &volleys,
             Box::new(|vs: &[Volley]| {
-                // Naive: EventSim::run re-extracts the topology per call.
+                // Naive: EventSim::run re-compiles the network per call.
                 let sim = EventSim::new();
                 for v in vs {
                     std::hint::black_box(sim.run(&network, v.times()).unwrap());

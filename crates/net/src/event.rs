@@ -1,31 +1,52 @@
-//! Discrete-event evaluation of space-time networks.
+//! Event-level evaluation of space-time networks.
 //!
-//! Where [`crate::graph::Network::eval`] computes output times in one
-//! functional pass, [`EventSim`] *plays the computation out in time*: a
-//! single wave of spikes sweeps through the network (the paper's § III.B),
-//! each gate fires at most once, and the simulator observes every firing.
-//! This yields, in addition to the output times, the paper's key
-//! efficiency statistic — how many events (spikes / level transitions)
-//! each computation actually expends — which underpins the
-//! minimal-transition energy argument of § VI.
+//! In the paper's § III.B a single wave of spikes sweeps through a
+//! feedforward network and each gate fires at most once, so a gate's
+//! firing time is a pure function of its sources' firing times.
+//! [`CompiledNetwork`] computes all of them in one pass over the gates in
+//! index order — the pass behind [`Network::trace`] and
+//! [`Network::eval`] — and derives from those times, when an instrument
+//! asks for them, what an event-driven simulation observes: every firing
+//! as an [`ObsEvent::GateFired`], and the paper's efficiency statistic —
+//! how many events (spikes / level transitions) a computation expends,
+//! which underpins the minimal-transition energy argument of § VI.
 //!
-//! The two evaluators are algebraically equivalent; the test suites
-//! cross-check them on hand-built and randomly generated networks.
+//! # The event schedule
+//!
+//! The firing times imply one schedule of `(time, gate)` evaluation
+//! tokens. Inputs and constants fire first; a gate that fires at `t` then
+//! sends one token to each consumer slot, due at `t` (or `t + c` at an
+//! `inc c`), and tokens are taken in `(time, gate)` order. A gate is
+//! decided on the first of its tokens taken once all its sources have
+//! fired, and fires then; tokens taken before that evaluate it without
+//! firing it, and later ones are stale. That token is due at the gate's
+//! firing time, except at a `max`: inputs and constants fired before any
+//! token was taken, and a `max` fires at its latest source's time
+//! whenever it is decided, so a `max` can be decided on an earlier token.
+//! The `net.*` counters count the schedule:
+//!
+//! - `net.gate_firings`: gates with a finite firing time;
+//! - `net.queue_pushes` = `net.queue_pops`: the tokens, one per fan-out
+//!   slot of every firing gate;
+//! - `net.gate_evals`: per gate, its tokens taken before it is decided
+//!   plus the deciding one, or all of its tokens if it never fires;
+//! - `net.queue_peak_depth`: the most tokens outstanding at once.
+//!
+//! Firing events come in the schedule's order: inputs and constants
+//! first, in index order, then every internal firing in the order it is
+//! decided. The numbers and the order are those of a priority-queue
+//! simulation of the same wave, kept as the test oracle.
 //!
 //! # Simultaneity
 //!
 //! Ties matter: `lt(a, b)` must not fire when `a` and `b` arrive at the
 //! same instant, even when one of them arrives through a zero-delay path.
-//! The simulator resolves this by processing pending evaluations in
-//! lexicographic `(time, gate)` order. Builders only ever wire a gate to
-//! earlier-created gates, so at equal times every source of a gate is
-//! evaluated before the gate itself — simultaneous arrivals are always
-//! visible to the firing decision.
+//! Builders only ever wire a gate to earlier-created gates, so every
+//! source's time is known before its gate is evaluated, and simultaneous
+//! arrivals are always visible to the firing decision. A decision at `∞`
+//! (an `inc` that saturates) is no firing: no event, no count, no tokens.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use st_core::{CoreError, Time, Volley};
+use st_core::{CoreError, Time};
 use st_obs::ObsEvent;
 use st_trace::{Instrument, NullInstrument};
 
@@ -43,7 +64,12 @@ fn op_name(kind: GateKind) -> &'static str {
     }
 }
 
-/// Result of an event-driven run: per-output times plus activity counts.
+/// Whether a gate fires unprompted (an input or a constant).
+fn is_seed(kind: GateKind) -> bool {
+    matches!(kind, GateKind::Input(_) | GateKind::Const(_))
+}
+
+/// Result of an event-level run: per-output times plus activity counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventReport {
     /// Event time on each output line (same as `Network::eval`).
@@ -72,12 +98,12 @@ impl EventReport {
     }
 }
 
-/// Event-driven simulator for [`Network`]s.
+/// Event-level evaluator for [`Network`]s.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EventSim;
 
 impl EventSim {
-    /// Creates a simulator.
+    /// Creates an evaluator.
     #[must_use]
     pub fn new() -> EventSim {
         EventSim
@@ -93,80 +119,67 @@ impl EventSim {
         self.compile(network).run(inputs)
     }
 
-    /// Extracts the network's topology into a [`CompiledNetwork`] so that
-    /// repeated runs skip the per-run gate walk — the compile-once half of
-    /// the batched engine's compile-once/evaluate-many contract.
+    /// Prepares the network for repeated runs as a [`CompiledNetwork`],
+    /// counting each gate's fan-out once — the compile-once half of the
+    /// batched engine's compile-once/evaluate-many contract.
     #[must_use]
     pub fn compile(&self, network: &Network) -> CompiledNetwork {
-        let n = network.gate_count();
-        let mut kinds: Vec<GateKind> = Vec::with_capacity(n);
-        let mut sources: Vec<Vec<usize>> = Vec::with_capacity(n);
-        let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, kind) in network.iter_gates() {
-            let srcs = network.sources(id).expect("id from iter_gates");
-            for &s in srcs {
-                fanout[s.index()].push(id.index());
+        let mut fanout = vec![0; network.gate_count()];
+        for (id, _) in network.iter_gates() {
+            for s in network.sources_of(id.index()) {
+                fanout[s.index()] += 1;
             }
-            kinds.push(kind);
-            sources.push(srcs.iter().map(|s| s.index()).collect());
         }
         CompiledNetwork {
-            input_count: network.input_count(),
-            outputs: network.outputs().iter().map(|o| o.index()).collect(),
-            kinds,
-            sources,
+            network: network.clone(),
             fanout,
         }
     }
-
-    /// Runs one input volley per entry of `volleys`, compiling the network
-    /// once up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] for the first (lowest-index)
-    /// volley whose width differs from the network's input count.
-    pub fn run_batch(
-        &self,
-        network: &Network,
-        volleys: &[Volley],
-    ) -> Result<Vec<EventReport>, CoreError> {
-        let compiled = self.compile(network);
-        volleys.iter().map(|v| compiled.run(v.times())).collect()
-    }
 }
 
-/// A [`Network`] with its topology (kinds, sources, fanout) extracted for
-/// evaluate-many workloads. Immutable and cheap to share across threads.
+/// A [`Network`] prepared for evaluate-many workloads. Immutable and cheap
+/// to share across threads.
 ///
 /// Built with [`EventSim::compile`]; [`CompiledNetwork::run`] produces the
 /// same [`EventReport`] as [`EventSim::run`] on the source network.
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork {
-    input_count: usize,
-    outputs: Vec<usize>,
-    kinds: Vec<GateKind>,
-    sources: Vec<Vec<usize>>,
-    fanout: Vec<Vec<usize>>,
+    network: Network,
+    /// Tokens each gate's firing schedules: one per consumer slot.
+    fanout: Vec<u64>,
+}
+
+/// Reusable buffers for [`CompiledNetwork::eval_into`]: one volley's
+/// firing times and, while an instrument is live, its event schedule.
+/// Once they have grown to the network's size, a run reusing them
+/// allocates nothing.
+#[derive(Debug, Default, Clone)]
+pub struct NetScratch {
+    /// Every gate's firing time, `∞` if it never fired.
+    firings: Vec<Time>,
+    /// Every gate's decided time (see [`CompiledNetwork::schedule`]).
+    decided: Vec<Time>,
+    /// Every token as `(due, key)`, in the order they are taken.
+    tokens: Vec<(Time, usize)>,
 }
 
 impl CompiledNetwork {
     /// The number of input lines.
     #[must_use]
     pub fn input_count(&self) -> usize {
-        self.input_count
+        self.network.input_count()
     }
 
     /// The number of output lines.
     #[must_use]
     pub fn output_count(&self) -> usize {
-        self.outputs.len()
+        self.network.output_count()
     }
 
     /// The number of gates in the source network.
     #[must_use]
     pub fn gate_count(&self) -> usize {
-        self.kinds.len()
+        self.network.gate_count()
     }
 
     /// Plays one computation out in time, bit-identically to
@@ -182,10 +195,10 @@ impl CompiledNetwork {
 
     /// [`CompiledNetwork::run`] under an instrument: every gate firing
     /// (inputs and constants included) is an [`ObsEvent::GateFired`], and
-    /// the counters are the `net.*` counts (gate evaluations, firings,
-    /// queue pushes/pops) plus the `net.queue_peak_depth` histogram. With
-    /// [`NullInstrument`] this compiles to exactly [`CompiledNetwork::run`];
-    /// results are identical for any instrument.
+    /// the counters are the `net.*` counts of the event schedule (gate
+    /// evaluations, firings, queue pushes/pops) plus the
+    /// `net.queue_peak_depth` histogram; see the [module docs](self).
+    /// Results are identical for any instrument.
     ///
     /// # Errors
     ///
@@ -196,133 +209,199 @@ impl CompiledNetwork {
         inputs: &[Time],
         inst: &mut impl Instrument,
     ) -> Result<EventReport, CoreError> {
-        if inputs.len() != self.input_count {
-            return Err(CoreError::ArityMismatch {
-                expected: self.input_count,
-                actual: inputs.len(),
-            });
-        }
-        let n = self.kinds.len();
-        let kinds = &self.kinds;
-        let sources = &self.sources;
-        let fanout = &self.fanout;
-
-        let mut fired: Vec<Time> = vec![Time::INFINITY; n];
-        let mut total_events = 0usize;
-        let mut internal_events = 0usize;
-        // Pending "evaluate gate at time" tokens, popped in (time, gate)
-        // order. Duplicate tokens are harmless (re-evaluation is
-        // idempotent once a gate has fired).
-        let mut queue: BinaryHeap<Reverse<(Time, usize)>> = BinaryHeap::new();
-        // Metric bookkeeping is guarded by one hoisted liveness bool; with
-        // a dead instrument every branch below constant-folds away.
-        let metered = inst.counters_live();
-        let mut queue_pushes = 0u64;
-        let mut queue_pops = 0u64;
-        let mut gate_evals = 0u64;
-        let mut peak_depth = 0usize;
-
-        // Seed: inputs and constants fire unconditionally at their times.
-        for (i, kind) in kinds.iter().enumerate() {
-            let at = match *kind {
-                GateKind::Input(p) => inputs[p],
-                GateKind::Const(t) => t,
-                _ => continue,
-            };
+        let mut scratch = NetScratch::default();
+        self.fire(inputs, &mut scratch, inst)?;
+        let firings = scratch.firings;
+        let mut total_events = 0;
+        let mut internal_events = 0;
+        for ((_, kind), at) in self.network.iter_gates().zip(&firings) {
             if at.is_finite() {
-                fired[i] = at;
                 total_events += 1;
-                if inst.events_live() {
-                    inst.record(ObsEvent::GateFired {
-                        gate: i,
-                        op: op_name(*kind),
-                        at,
-                    });
-                }
-                for &consumer in &fanout[i] {
-                    let due = match kinds[consumer] {
-                        GateKind::Inc(c) => at + c,
-                        _ => at,
-                    };
-                    queue.push(Reverse((due, consumer)));
-                    if metered {
-                        queue_pushes += 1;
-                        peak_depth = peak_depth.max(queue.len());
-                    }
-                }
+                internal_events += usize::from(!is_seed(kind));
             }
         }
-
-        while let Some(Reverse((now, gate))) = queue.pop() {
-            if metered {
-                queue_pops += 1;
-            }
-            if fired[gate].is_finite() {
-                continue;
-            }
-            if metered {
-                gate_evals += 1;
-            }
-            let decision: Option<Time> = match kinds[gate] {
-                GateKind::Input(_) | GateKind::Const(_) => None,
-                GateKind::Inc(_) => Some(now),
-                GateKind::Min => Some(now),
-                GateKind::Max => {
-                    let times: Vec<Time> = sources[gate].iter().map(|&s| fired[s]).collect();
-                    if times.iter().all(|t| t.is_finite()) {
-                        Some(Time::max_of(times))
-                    } else {
-                        None
-                    }
-                }
-                GateKind::Lt => {
-                    let a = fired[sources[gate][0]];
-                    let b = fired[sources[gate][1]];
-                    (a.is_finite() && a < b).then_some(a)
-                }
-            };
-            if let Some(at) = decision {
-                debug_assert!(at >= now || matches!(kinds[gate], GateKind::Max));
-                fired[gate] = at;
-                total_events += 1;
-                internal_events += 1;
-                if inst.events_live() {
-                    inst.record(ObsEvent::GateFired {
-                        gate,
-                        op: op_name(kinds[gate]),
-                        at,
-                    });
-                }
-                for &consumer in &fanout[gate] {
-                    let due = match kinds[consumer] {
-                        GateKind::Inc(c) => at + c,
-                        _ => at,
-                    };
-                    queue.push(Reverse((due, consumer)));
-                    if metered {
-                        queue_pushes += 1;
-                        peak_depth = peak_depth.max(queue.len());
-                    }
-                }
-            }
-        }
-
-        if metered {
-            inst.incr("net.runs", 1);
-            inst.incr("net.gate_evals", gate_evals);
-            inst.incr("net.gate_firings", total_events as u64);
-            inst.incr("net.queue_pushes", queue_pushes);
-            inst.incr("net.queue_pops", queue_pops);
-            inst.observe("net.queue_peak_depth", peak_depth as u64);
-        }
-        let outputs = self.outputs.iter().map(|&o| fired[o]).collect();
         Ok(EventReport {
-            outputs,
-            firings: fired,
+            outputs: self.outputs(&firings).collect(),
+            firings,
             total_events,
             internal_events,
         })
     }
+
+    /// Evaluates one volley into `out`, one time per output line, with
+    /// the events and counters of [`CompiledNetwork::run_with`]. The
+    /// buffers in `scratch` are reused, so after the first volley an
+    /// uninstrumented run allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
+    /// the network's input count.
+    pub fn eval_into(
+        &self,
+        inputs: &[Time],
+        out: &mut [Time],
+        scratch: &mut NetScratch,
+        inst: &mut impl Instrument,
+    ) -> Result<(), CoreError> {
+        debug_assert_eq!(out.len(), self.output_count());
+        self.fire(inputs, scratch, inst)?;
+        for (slot, at) in out.iter_mut().zip(self.outputs(&scratch.firings)) {
+            *slot = at;
+        }
+        Ok(())
+    }
+
+    /// The output lines' times among `firings`.
+    fn outputs<'a>(&'a self, firings: &'a [Time]) -> impl Iterator<Item = Time> + 'a {
+        self.network.outputs().iter().map(|o| firings[o.index()])
+    }
+
+    /// Computes every firing time into `scratch.firings`, then records
+    /// the firing events and `net.*` counters of the groups that are live.
+    fn fire(
+        &self,
+        inputs: &[Time],
+        scratch: &mut NetScratch,
+        inst: &mut impl Instrument,
+    ) -> Result<(), CoreError> {
+        self.network.trace_into(inputs, &mut scratch.firings)?;
+        let events = inst.events_live();
+        let metered = inst.counters_live();
+        if !events && !metered {
+            return Ok(());
+        }
+        let counts = self.schedule(scratch);
+        let NetScratch {
+            firings, tokens, ..
+        } = scratch;
+        if events {
+            for ((id, kind), &at) in self.network.iter_gates().zip(firings.iter()) {
+                if is_seed(kind) && at.is_finite() {
+                    inst.record(ObsEvent::GateFired {
+                        gate: id.index(),
+                        op: op_name(kind),
+                        at,
+                    });
+                }
+            }
+            for &(_, key) in tokens.iter().filter(|&&(_, key)| key % 2 == 0) {
+                let gate = key / 2;
+                inst.record(ObsEvent::GateFired {
+                    gate,
+                    op: op_name(self.network.kind_of(gate)),
+                    at: firings[gate],
+                });
+            }
+        }
+        if metered {
+            // Replay the schedule for its depth: a firing gate's deciding
+            // token pushes its fan-out as it is taken.
+            let mut depth = counts.seed_tokens;
+            let mut peak = depth;
+            for &(_, key) in tokens.iter() {
+                depth -= 1;
+                if key % 2 == 0 {
+                    depth += self.fanout[key / 2];
+                    peak = peak.max(depth);
+                }
+            }
+            let pushes = tokens.len() as u64;
+            inst.incr("net.runs", 1);
+            inst.incr("net.gate_evals", counts.gate_evals);
+            inst.incr("net.gate_firings", counts.gate_firings);
+            inst.incr("net.queue_pushes", pushes);
+            inst.incr("net.queue_pops", pushes);
+            inst.observe("net.queue_peak_depth", peak);
+        }
+        Ok(())
+    }
+
+    /// Lays out the event schedule `scratch.firings` implies: every token
+    /// into `scratch.tokens` in the order it is taken, as `(due, key)`
+    /// with `key` = `2 × gate`, plus 1 unless it is the token the gate is
+    /// decided on (so a deciding token goes before its duplicates).
+    ///
+    /// A gate is decided on the first of its tokens taken once all its
+    /// sources have fired, and fires then. That token is due at its
+    /// firing time, except at a `max`. Inputs and constants fire before
+    /// any token is taken, and a `max` decided early fires at its latest
+    /// source's time, so a `max` is decided on its first token due no
+    /// earlier than its other sources were decided.
+    fn schedule(&self, scratch: &mut NetScratch) -> ScheduleCounts {
+        let NetScratch {
+            firings,
+            decided,
+            tokens,
+        } = scratch;
+        let mut counts = ScheduleCounts::default();
+        decided.clear();
+        decided.extend_from_slice(firings);
+        tokens.clear();
+        for (id, kind) in self.network.iter_gates() {
+            let gate = id.index();
+            let at = firings[gate];
+            let delay = match kind {
+                GateKind::Input(_) | GateKind::Const(_) => {
+                    if at.is_finite() {
+                        counts.gate_firings += 1;
+                        counts.seed_tokens += self.fanout[gate];
+                    }
+                    continue;
+                }
+                GateKind::Inc(c) => c,
+                _ => 0,
+            };
+            let sources = self.network.sources_of(gate);
+            if kind == GateKind::Max && at.is_finite() {
+                let ready = Time::max_of(
+                    sources
+                        .iter()
+                        .filter(|s| !is_seed(self.network.kind_of(s.index())))
+                        .map(|s| decided[s.index()]),
+                );
+                decided[gate] = Time::min_of(
+                    sources
+                        .iter()
+                        .map(|s| firings[s.index()])
+                        .filter(|&due| due >= ready),
+                );
+            }
+            let mut undecided = at.is_finite();
+            for s in sources {
+                let from = firings[s.index()];
+                if from.is_infinite() {
+                    continue;
+                }
+                let due = from + delay;
+                let deciding = undecided && due == decided[gate];
+                undecided &= !deciding;
+                tokens.push((due, 2 * gate + usize::from(!deciding)));
+                // Taken before the decision (or with none to come), a
+                // token evaluates the gate; later ones are stale.
+                if at.is_infinite() || due < decided[gate] {
+                    counts.gate_evals += 1;
+                }
+            }
+            if at.is_finite() {
+                counts.gate_firings += 1;
+                counts.gate_evals += 1;
+            }
+        }
+        tokens.sort_unstable();
+        counts
+    }
+}
+
+/// Tallies of one event schedule (see [`CompiledNetwork::schedule`]).
+#[derive(Debug, Default)]
+struct ScheduleCounts {
+    /// Gates with a finite firing time.
+    gate_firings: u64,
+    /// Token takings that evaluate a gate.
+    gate_evals: u64,
+    /// Tokens the inputs and constants push before any is taken.
+    seed_tokens: u64,
 }
 
 #[cfg(test)]
@@ -472,20 +551,65 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_per_volley_runs() {
+    fn reused_scratch_matches_per_volley_runs() {
         let net = fig6();
-        let sim = EventSim::new();
-        let volleys: Vec<st_core::Volley> = st_core::enumerate_inputs(3, 2)
-            .map(st_core::Volley::new)
-            .collect();
-        let reports = sim.run_batch(&net, &volleys).unwrap();
-        assert_eq!(reports.len(), volleys.len());
-        for (v, report) in volleys.iter().zip(&reports) {
-            assert_eq!(*report, sim.run(&net, v.times()).unwrap());
+        let compiled = EventSim::new().compile(&net);
+        let mut scratch = NetScratch::default();
+        let mut out = [Time::ZERO];
+        for inputs in st_core::enumerate_inputs(3, 3) {
+            compiled
+                .eval_into(&inputs, &mut out, &mut scratch, &mut NullInstrument)
+                .unwrap();
+            assert_eq!(
+                out[..],
+                compiled.run(&inputs).unwrap().outputs,
+                "at {inputs:?}"
+            );
         }
-        // A bad volley anywhere fails the whole batch.
-        let bad = vec![st_core::Volley::new(vec![t(0), t(1)])];
-        assert!(sim.run_batch(&net, &bad).is_err());
+        // A wrong-width volley fails without touching `out`.
+        let before = out;
+        assert!(compiled
+            .eval_into(&[t(0), t(1)], &mut out, &mut scratch, &mut NullInstrument)
+            .is_err());
+        assert_eq!(out, before);
+    }
+
+    #[test]
+    fn a_saturating_inc_is_no_firing() {
+        use st_metrics::MetricsRegistry;
+        use st_obs::Recorder;
+        // g1 = inc (2^64 - 6) g0 saturates to ∞ at input 5, so only the
+        // input fires; g2 = min g1 g1 gets no token at all.
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let late = b.inc(x, u64::MAX - 5);
+        let y = b.min2(late, late);
+        let net = b.build([y]);
+        let compiled = EventSim::new().compile(&net);
+        let mut recorder = Recorder::new();
+        let report = compiled.run_with(&[t(5)], &mut recorder).unwrap();
+        assert_eq!(report.outputs, vec![Time::INFINITY]);
+        assert_eq!(report.firings, vec![t(5), Time::INFINITY, Time::INFINITY]);
+        assert_eq!((report.total_events, report.internal_events), (1, 0));
+        assert_eq!(
+            recorder.events(),
+            &[ObsEvent::GateFired {
+                gate: 0,
+                op: "input",
+                at: t(5)
+            }]
+        );
+        let mut sink = MetricsRegistry::new();
+        compiled.run_with(&[t(5)], &mut sink).unwrap();
+        // One token to the inc, evaluated once, deciding ∞.
+        assert_eq!(sink.counter("net.gate_firings"), 1);
+        assert_eq!(sink.counter("net.queue_pushes"), 1);
+        assert_eq!(sink.counter("net.queue_pops"), 1);
+        assert_eq!(sink.counter("net.gate_evals"), 1);
+        assert_eq!(
+            sink.histogram("net.queue_peak_depth").unwrap().max(),
+            Some(1)
+        );
     }
 
     #[test]

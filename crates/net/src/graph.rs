@@ -60,10 +60,30 @@ pub enum GateKind {
     Inc(u64),
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Gate {
-    pub(crate) kind: GateKind,
-    pub(crate) sources: Vec<GateId>,
+/// Gates in index order, their sources flattened into one array: gate
+/// `g` reads `sources[ends[g - 1]..ends[g]]`, from 0 for gate 0.
+#[derive(Debug, Clone, Default)]
+struct Gates {
+    kinds: Vec<GateKind>,
+    ends: Vec<usize>,
+    sources: Vec<GateId>,
+}
+
+impl Gates {
+    fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    fn sources(&self, gate: usize) -> &[GateId] {
+        let start = gate.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.sources[start..self.ends[gate]]
+    }
+
+    fn push(&mut self, kind: GateKind, sources: &[GateId]) {
+        self.kinds.push(kind);
+        self.sources.extend_from_slice(sources);
+        self.ends.push(self.sources.len());
+    }
 }
 
 /// A feedforward space-time computing network.
@@ -91,7 +111,7 @@ pub(crate) struct Gate {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network {
-    gates: Vec<Gate>,
+    gates: Gates,
     input_count: usize,
     outputs: Vec<GateId>,
 }
@@ -128,8 +148,9 @@ impl Network {
     /// Returns [`NetError::UnknownGate`] for a foreign id.
     pub fn kind(&self, id: GateId) -> Result<GateKind, NetError> {
         self.gates
+            .kinds
             .get(id.0)
-            .map(|g| g.kind)
+            .copied()
             .ok_or(NetError::UnknownGate { id })
     }
 
@@ -139,18 +160,30 @@ impl Network {
     ///
     /// Returns [`NetError::UnknownGate`] for a foreign id.
     pub fn sources(&self, id: GateId) -> Result<&[GateId], NetError> {
-        self.gates
-            .get(id.0)
-            .map(|g| g.sources.as_slice())
-            .ok_or(NetError::UnknownGate { id })
+        if id.0 < self.gates.len() {
+            Ok(self.gates.sources(id.0))
+        } else {
+            Err(NetError::UnknownGate { id })
+        }
+    }
+
+    /// The kind of the gate at `index`, which must be in range.
+    pub(crate) fn kind_of(&self, index: usize) -> GateKind {
+        self.gates.kinds[index]
+    }
+
+    /// The fan-in of the gate at `index`, which must be in range.
+    pub(crate) fn sources_of(&self, index: usize) -> &[GateId] {
+        self.gates.sources(index)
     }
 
     /// Iterates over `(id, kind)` pairs in topological order.
     pub fn iter_gates(&self) -> impl Iterator<Item = (GateId, GateKind)> + '_ {
         self.gates
+            .kinds
             .iter()
             .enumerate()
-            .map(|(i, g)| (GateId(i), g.kind))
+            .map(|(i, &kind)| (GateId(i), kind))
     }
 
     /// Reconfigures a constant gate — the micro-weight programming
@@ -161,13 +194,14 @@ impl Network {
     /// Returns [`NetError::UnknownGate`] for a foreign id and
     /// [`NetError::NotAConstant`] if the gate is not a [`GateKind::Const`].
     pub fn set_constant(&mut self, id: GateId, value: Time) -> Result<(), NetError> {
-        let gate = self
+        let kind = self
             .gates
+            .kinds
             .get_mut(id.0)
             .ok_or(NetError::UnknownGate { id })?;
-        match gate.kind {
+        match kind {
             GateKind::Const(_) => {
-                gate.kind = GateKind::Const(value);
+                *kind = GateKind::Const(value);
                 Ok(())
             }
             _ => Err(NetError::NotAConstant { id }),
@@ -177,10 +211,9 @@ impl Network {
     /// Evaluates the network on an input vector, returning one event time
     /// per output line.
     ///
-    /// This is the *functional* evaluator: a single pass in topological
-    /// order. The event-driven evaluator in [`crate::event`] computes the
-    /// same result by propagating discrete events and additionally reports
-    /// activity statistics; the two are cross-checked in the test suite.
+    /// One pass in topological order, the same pass the event-level
+    /// evaluator in [`crate::event`] runs before it derives events and
+    /// activity counts from the firing times.
     ///
     /// # Errors
     ///
@@ -200,29 +233,51 @@ impl Network {
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
     /// [`Network::input_count`].
     pub fn trace(&self, inputs: &[Time]) -> Result<Vec<Time>, CoreError> {
+        let mut times = Vec::with_capacity(self.gates.len());
+        self.trace_into(inputs, &mut times)?;
+        Ok(times)
+    }
+
+    /// [`Network::trace`] into a caller-owned buffer, which is cleared
+    /// first: the workspace's one network evaluator. Each gate's time is a
+    /// function of its sources' times, and every source precedes its gate,
+    /// so one pass in index order computes them all. A reused buffer makes
+    /// the pass allocation-free.
+    ///
+    /// Fails as [`Network::trace`] does, leaving `times` empty.
+    pub(crate) fn trace_into(
+        &self,
+        inputs: &[Time],
+        times: &mut Vec<Time>,
+    ) -> Result<(), CoreError> {
+        times.clear();
         if inputs.len() != self.input_count {
             return Err(CoreError::ArityMismatch {
                 expected: self.input_count,
                 actual: inputs.len(),
             });
         }
-        let mut values = Vec::with_capacity(self.gates.len());
-        for gate in &self.gates {
-            let v = match gate.kind {
+        let Gates {
+            kinds,
+            ends,
+            sources,
+        } = &self.gates;
+        times.reserve(kinds.len());
+        let mut start = 0;
+        for (&kind, &end) in kinds.iter().zip(ends) {
+            let srcs = &sources[start..end];
+            start = end;
+            let v = match kind {
                 GateKind::Input(n) => inputs[n],
                 GateKind::Const(t) => t,
-                GateKind::Min => Time::min_of(gate.sources.iter().map(|s| values[s.0])),
-                GateKind::Max => Time::max_of(gate.sources.iter().map(|s| values[s.0])),
-                GateKind::Lt => {
-                    let a: Time = values[gate.sources[0].0];
-                    let b: Time = values[gate.sources[1].0];
-                    a.lt_gate(b)
-                }
-                GateKind::Inc(c) => values[gate.sources[0].0] + c,
+                GateKind::Min => Time::min_of(srcs.iter().map(|s| times[s.0])),
+                GateKind::Max => Time::max_of(srcs.iter().map(|s| times[s.0])),
+                GateKind::Lt => times[srcs[0].0].lt_gate(times[srcs[1].0]),
+                GateKind::Inc(c) => times[srcs[0].0] + c,
             };
-            values.push(v);
+            times.push(v);
         }
-        Ok(values)
+        Ok(())
     }
 
     /// Views one output line of the network as a [`st_core::SpaceTimeFunction`].
@@ -276,7 +331,7 @@ impl st_core::SpaceTimeFunction for NetworkFunction<'_> {
 /// builders).
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
-    gates: Vec<Gate>,
+    gates: Gates,
     input_count: usize,
 }
 
@@ -296,20 +351,44 @@ impl NetworkBuilder {
         );
     }
 
-    fn push(&mut self, kind: GateKind, sources: Vec<GateId>) -> GateId {
-        for &s in &sources {
+    fn push(&mut self, kind: GateKind, sources: &[GateId]) -> GateId {
+        for &s in sources {
             self.check(s);
         }
         let id = GateId(self.gates.len());
-        self.gates.push(Gate { kind, sources });
+        self.gates.push(kind, sources);
         id
+    }
+
+    /// Adds an n-ary gate; one source is a wire to it, and none is an
+    /// error.
+    fn push_nary<I: IntoIterator<Item = GateId>>(
+        &mut self,
+        kind: GateKind,
+        sources: I,
+    ) -> Result<GateId, NetError> {
+        let first = self.gates.sources.len();
+        self.gates.sources.extend(sources);
+        match self.gates.sources.len() - first {
+            0 => Err(NetError::EmptyFanIn),
+            1 => Ok(self.gates.sources.pop().expect("one source")),
+            _ => {
+                for &s in &self.gates.sources[first..] {
+                    self.check(s);
+                }
+                let id = GateId(self.gates.len());
+                self.gates.kinds.push(kind);
+                self.gates.ends.push(self.gates.sources.len());
+                Ok(id)
+            }
+        }
     }
 
     /// Adds the next primary input and returns its gate.
     pub fn input(&mut self) -> GateId {
         let n = self.input_count;
         self.input_count += 1;
-        self.push(GateKind::Input(n), Vec::new())
+        self.push(GateKind::Input(n), &[])
     }
 
     /// Adds `n` primary inputs and returns their gates in order.
@@ -320,7 +399,7 @@ impl NetworkBuilder {
     /// Adds a constant event time (a configuration point; see
     /// [`Network::set_constant`]).
     pub fn constant(&mut self, value: Time) -> GateId {
-        self.push(GateKind::Const(value), Vec::new())
+        self.push(GateKind::Const(value), &[])
     }
 
     /// Adds an n-ary `min` gate.
@@ -329,14 +408,7 @@ impl NetworkBuilder {
     ///
     /// Returns [`NetError::EmptyFanIn`] for an empty source list.
     pub fn min<I: IntoIterator<Item = GateId>>(&mut self, sources: I) -> Result<GateId, NetError> {
-        let sources: Vec<GateId> = sources.into_iter().collect();
-        if sources.is_empty() {
-            return Err(NetError::EmptyFanIn);
-        }
-        if sources.len() == 1 {
-            return Ok(sources[0]);
-        }
-        Ok(self.push(GateKind::Min, sources))
+        self.push_nary(GateKind::Min, sources)
     }
 
     /// Adds an n-ary `max` gate.
@@ -345,30 +417,23 @@ impl NetworkBuilder {
     ///
     /// Returns [`NetError::EmptyFanIn`] for an empty source list.
     pub fn max<I: IntoIterator<Item = GateId>>(&mut self, sources: I) -> Result<GateId, NetError> {
-        let sources: Vec<GateId> = sources.into_iter().collect();
-        if sources.is_empty() {
-            return Err(NetError::EmptyFanIn);
-        }
-        if sources.len() == 1 {
-            return Ok(sources[0]);
-        }
-        Ok(self.push(GateKind::Max, sources))
+        self.push_nary(GateKind::Max, sources)
     }
 
     /// Adds a binary `min` gate (infallible convenience).
     pub fn min2(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Min, vec![a, b])
+        self.push(GateKind::Min, &[a, b])
     }
 
     /// Adds a binary `max` gate (infallible convenience).
     pub fn max2(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Max, vec![a, b])
+        self.push(GateKind::Max, &[a, b])
     }
 
     /// Adds an `lt` gate: output is `a`'s event iff it strictly precedes
     /// `b`'s.
     pub fn lt(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Lt, vec![a, b])
+        self.push(GateKind::Lt, &[a, b])
     }
 
     /// Adds an `inc` gate delaying `a` by `delta` unit times.
@@ -376,7 +441,7 @@ impl NetworkBuilder {
     /// `delta == 0` is permitted and acts as a wire (the gate is still
     /// materialized, which keeps activity accounting explicit).
     pub fn inc(&mut self, a: GateId, delta: u64) -> GateId {
-        self.push(GateKind::Inc(delta), vec![a])
+        self.push(GateKind::Inc(delta), &[a])
     }
 
     /// The number of gates added so far.

@@ -4,8 +4,9 @@
 //! `inc`), per § III of Smith's "Space-Time Algebra" (ISCA 2018), together
 //! with every network-level construction the paper gives:
 //!
-//! * [`graph`] — the gate graph, its builder, and the functional evaluator;
-//! * [`event`] — the discrete-event evaluator with activity accounting;
+//! * [`graph`] — the gate graph, its builder, and the one-pass evaluator;
+//! * [`event`] — firing events and activity counts derived from that
+//!   pass;
 //! * [`analysis`] — gate census, logic depth, critical delay, DOT export;
 //! * [`synth`] — Lemma 2 (`max` from `min`/`lt`) and Theorem 1 (minterm
 //!   canonical form) synthesis from function tables;
@@ -50,7 +51,7 @@ pub mod wta;
 
 pub use analysis::{gate_counts, logic_depth, GateCounts};
 pub use error::NetError;
-pub use event::{CompiledNetwork, EventReport, EventSim};
+pub use event::{CompiledNetwork, EventReport, EventSim, NetScratch};
 pub use graph::{GateId, GateKind, Network, NetworkBuilder, NetworkFunction};
 pub use microweight::{micro_weight_into, MicroWeight, WeightedFanout};
 pub use optimize::{optimize, OptimizeReport};

@@ -101,6 +101,8 @@ pub fn parse_network(text: &str) -> Result<Network, ParseNetworkError> {
     let mut builder = NetworkBuilder::new();
     let mut names: HashMap<String, GateId> = HashMap::new();
     let mut outputs: Option<Vec<GateId>> = None;
+    // One gate's sources, reused from line to line.
+    let mut sources: Vec<GateId> = Vec::new();
 
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -153,11 +155,14 @@ pub fn parse_network(text: &str) -> Result<Network, ParseNetworkError> {
                 builder.constant(t)
             }
             "min" | "max" => {
-                let sources: Result<Vec<GateId>, _> = parts.by_ref().map(&resolve).collect();
-                let sources = sources?;
+                sources.clear();
+                for token in parts.by_ref() {
+                    sources.push(resolve(token)?);
+                }
                 if sources.is_empty() {
                     return Err(err(format!("{op} needs at least one source")));
                 }
+                let sources = sources.iter().copied();
                 if op == "min" {
                     builder.min(sources).expect("non-empty")
                 } else {

@@ -1,7 +1,7 @@
 //! Parallel batched volley evaluation across the workspace's engines.
 //!
 //! Every engine in the workspace follows the same shape: *compile* a
-//! specification once (normalize a table, extract a network's topology,
+//! specification once (normalize a table, prepare a gate network,
 //! lower to a race-logic netlist), then *evaluate* it against many input
 //! volleys. The per-volley loops scattered through the experiment binaries
 //! redo the compile step each iteration and run on one core; this module
@@ -60,7 +60,7 @@ use st_grl::{compile_network, GrlNetlist, GrlSim};
 use st_kernel::{PacketStats, Plan, Scratch};
 use st_metrics::MetricsRegistry;
 use st_net::synth::{synthesize, SynthesisOptions};
-use st_net::{CompiledNetwork, EventSim, Network};
+use st_net::{CompiledNetwork, EventSim, NetScratch, Network};
 use st_obs::ObsEvent;
 use st_tnn::Column;
 use st_trace::{Instrument, NullInstrument, SpanId};
@@ -155,7 +155,7 @@ pub enum CompiledArtifact {
     /// A normalized function table, indexed by finite-support mask
     /// ([`FunctionTable::compile`]). Outputs are width-1 volleys.
     Table(CompiledTable),
-    /// A gate network with its topology extracted ([`EventSim::compile`]).
+    /// A gate network prepared for repeated runs ([`EventSim::compile`]).
     Network(CompiledNetwork),
     /// An SRM0 column with lateral inhibition ([`Column::eval`]).
     Column(Column),
@@ -175,7 +175,7 @@ impl CompiledArtifact {
         CompiledArtifact::Table(table.compile())
     }
 
-    /// Extracts a network's topology (see [`EventSim::compile`]).
+    /// Prepares a network for repeated runs (see [`EventSim::compile`]).
     #[must_use]
     pub fn from_network(network: &Network) -> CompiledArtifact {
         CompiledArtifact::Network(EventSim::new().compile(network))
@@ -315,16 +315,19 @@ impl CompiledArtifact {
         inst: &mut impl Instrument,
     ) -> Result<Volley, CoreError> {
         let mut out = vec![Time::INFINITY; self.output_width()];
-        self.eval_row(volley.times(), &mut out, inst)?;
+        self.eval_row(volley.times(), &mut out, &mut NetScratch::default(), inst)?;
         Ok(Volley::new(out))
     }
 
     /// Evaluates one row of input times into `out`, one
-    /// [`CompiledArtifact::output_width`]-wide output row.
+    /// [`CompiledArtifact::output_width`]-wide output row; a gate network
+    /// keeps its firing times in `scratch`, which callers reuse across
+    /// rows.
     fn eval_row(
         &self,
         row: &[Time],
         out: &mut [Time],
+        scratch: &mut NetScratch,
         inst: &mut impl Instrument,
     ) -> Result<(), CoreError> {
         match self {
@@ -334,7 +337,7 @@ impl CompiledArtifact {
                     inst.incr("table.lookups", 1);
                 }
             }
-            CompiledArtifact::Network(n) => out.copy_from_slice(&n.run_with(row, inst)?.outputs),
+            CompiledArtifact::Network(n) => n.eval_into(row, out, scratch, inst)?,
             CompiledArtifact::Column(c) => out.copy_from_slice(c.eval_with(row, inst)?.times()),
             CompiledArtifact::Grl(g) => {
                 out.copy_from_slice(&GrlSim::new().run_with(g, row, inst)?.outputs);
@@ -809,7 +812,8 @@ trait ChunkRunner: Sync {
     ) -> Result<Vec<Timing>, BatchError>;
 }
 
-/// Every engine's own row evaluator, row by row.
+/// Every engine's own row evaluator, row by row (a gate network's firing
+/// times in one buffer per chunk).
 struct Rows<'a> {
     artifact: &'a CompiledArtifact,
     input: &'a VolleyBatch,
@@ -828,13 +832,16 @@ impl ChunkRunner for Rows<'_> {
     ) -> Result<Vec<Timing>, BatchError> {
         let mut timings = Vec::with_capacity(if timed { len } else { 0 });
         let out_width = self.artifact.output_width();
+        let mut scratch = NetScratch::default();
         for (offset, _, slot) in row_chunks_mut(out, out_width, len, 1) {
             let index = base + offset;
             let t0 = timed.then(Instant::now);
             let row = self.input.row(index);
             match chunk.counters.as_mut() {
-                Some(registry) => self.artifact.eval_row(row, slot, registry),
-                None => self.artifact.eval_row(row, slot, &mut NullInstrument),
+                Some(registry) => self.artifact.eval_row(row, slot, &mut scratch, registry),
+                None => self
+                    .artifact
+                    .eval_row(row, slot, &mut scratch, &mut NullInstrument),
             }
             .map_err(|source| BatchError { index, source })?;
             if let Some(t0) = t0 {

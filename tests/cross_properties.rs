@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{verify_space_time, FunctionTable, Time, Volley, VolleyBatch};
 use spacetime::grl::{compile_network, GrlSim};
-use spacetime::net::EventSim;
+use spacetime::net::{EventSim, NetScratch};
 use spacetime::neuron::structural::srm0_network;
 use spacetime::neuron::Srm0Neuron;
 use spacetime::tnn::{Column, Inhibition};
@@ -126,11 +126,17 @@ proptest! {
 
         // The per-crate hooks run the same loops.
         prop_assert_eq!(neuron.eval_batch(&volleys).unwrap(), seq_neuron);
-        let hook_net: Vec<Volley> = event
-            .run_batch(&network, &volleys)
-            .unwrap()
-            .into_iter()
-            .map(|r| Volley::new(r.outputs))
+        let compiled = event.compile(&network);
+        let mut scratch = NetScratch::default();
+        let hook_net: Vec<Volley> = volleys
+            .iter()
+            .map(|v| {
+                let mut out = vec![Time::INFINITY; compiled.output_count()];
+                compiled
+                    .eval_into(v.times(), &mut out, &mut scratch, &mut NullInstrument)
+                    .unwrap();
+                Volley::new(out)
+            })
             .collect();
         prop_assert_eq!(hook_net, seq_net);
         let input = VolleyBatch::from_fn(width, volleys.len(), |row, line| volleys[row].times()[line]);
